@@ -13,19 +13,18 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .evaluate import (default_tau_param, evaluate, grid_search_train,
-                       negative_radius_estimates, report_as_dict, report_rows)
-from .config import (CONFIG_KEYS, ConfigError, ExperimentConfig, LossKind,
-                     load_config, override_config, config_as_dict)
+from .evaluate import (default_tau_param, evaluate, noise_sweep, report_as_dict,
+                       report_rows, selection_cutoff)
+from .config import (CONFIG_KEYS, ConfigError, ExperimentConfig, load_config,
+                     override_config, config_as_dict)
 from .data import DataFormatError, Dataset, load_dataset, save_dataset
 from .dro import estimate_eta, worst_case_weights
-from .model import (CheckpointError, TrainingDivergedError, load_checkpoint,
-                    save_checkpoint, score_all_items, train)
+from .model import (CheckpointError, TrainingDivergedError, cosine_score,
+                    load_checkpoint, save_checkpoint, train)
 from .sampling import SamplerState, contaminate_positives, sample_negatives
 
 ARTIFACT_VERSION = "recdro-0.1.0"
@@ -124,7 +123,7 @@ def cmd_train(args) -> int:
         last_tick = time.perf_counter()
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
             report = evaluate(emb, ds, ks, n_groups=min(10, ds.n_items))
-            select_k = 20 if 20 in ks else max(ks)
+            select_k = selection_cutoff(ks)
             if report.ndcg[select_k] > best["ndcg"]:
                 best.update(ndcg=report.ndcg[select_k], epoch=epoch)
                 save_checkpoint(out_dir / "best.npz", emb,
@@ -169,61 +168,33 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_cells(args):
+def cmd_noise_sweep(args) -> int:
+    cfg = _config_from_args(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ds = _load_split(cfg)
     r_values = [float(v) for v in (args.r_noise_values or "").replace(",", " ").split()]
     n_values = [int(v) for v in (args.n_negatives_values or "").replace(",", " ").split()]
     p_values = [float(v) for v in (args.pos_noise_values or "").replace(",", " ").split()]
     if not (r_values or n_values or p_values):
         raise ConfigError("empty sweep: give at least one of --r-noise-values, "
                           "--n-negatives-values, --pos-noise-values")
-    return (r_values or [None], n_values or [None], p_values or [None])
+    sweep = noise_sweep(ds, cfg.train, cfg.loss, r_values, tau_grid=cfg.tau_grid,
+                        eval_ks=cfg.eval_ks, n_negatives_values=n_values,
+                        pos_noise_values=p_values)
+    select_k = selection_cutoff(cfg.eval_ks)
+    # temperature-free losses have no radius; their NaNs are left blank
+    has_eta = default_tau_param(cfg.loss.kind) is not None
 
+    def cell(value):
+        return "" if value is None or np.isnan(value) else repr(float(value))
 
-def cmd_noise_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base_ds = _load_split(cfg)
-    r_values, n_values, p_values = _sweep_cells(args)
-    tau_grid = cfg.tau_grid
-    ks = cfg.eval_ks
-    select_k = 20 if 20 in ks else max(ks)
-
-    rows = []
-    for p_ratio in p_values:
-        ds = base_ds
-        if p_ratio:
-            ds = contaminate_positives(base_ds, p_ratio, cfg.train.rng_seed)
-        # positive-side noise is countered by the positive temperature
-        positive_side = p_ratio is not None
-        for r in r_values:
-            for n_neg in n_values:
-                tc = cfg.train
-                if r is not None:
-                    tc = replace(tc, r_noise=r)
-                if n_neg is not None:
-                    tc = replace(tc, n_negatives=n_neg)
-                tau_param = default_tau_param(cfg.loss.kind, positive_side)
-                result = grid_search_train(ds, tc, cfg.loss, tau_grid=tau_grid,
-                                              tau_param=tau_param, eval_ks=ks,
-                                              n_groups=min(10, ds.n_items))
-                if cfg.loss.kind in (LossKind.SL, LossKind.SL_NOVAR, LossKind.BSL):
-                    eta_tau = (result.best_spec.tau_neg
-                               if cfg.loss.kind is LossKind.BSL else result.best_spec.tau)
-                    etas = negative_radius_estimates(result.emb, ds, tc, eta_tau)
-                    eta_mean, eta_median = repr(float(np.mean(etas))), repr(float(np.median(etas)))
-                else:
-                    eta_mean = eta_median = ""
-                rows.append([
-                    "" if r is None else repr(float(r)),
-                    "" if p_ratio is None else repr(float(p_ratio)),
-                    "" if n_neg is None else n_neg,
-                    cfg.loss.kind.value,
-                    "" if np.isnan(result.best_tau) else repr(float(result.best_tau)),
-                    repr(result.report.recall[select_k]),
-                    repr(result.report.ndcg[select_k]),
-                    eta_mean, eta_median,
-                ])
+    rows = [[cell(row.r_noise), cell(row.pos_noise_ratio),
+             "" if row.n_negatives is None else row.n_negatives,
+             cfg.loss.kind.value, cell(row.best_tau), repr(row.recall), repr(row.ndcg),
+             repr(row.eta_mean) if has_eta else "",
+             repr(row.eta_median) if has_eta else ""]
+            for row in sweep]
     _write_csv(out_dir / "sweep.csv",
                ["r_noise", "pos_noise_ratio", "n_negatives", "loss", "best_tau",
                 f"recall@{select_k}", f"ndcg@{select_k}", "eta_mean", "eta_median"],
@@ -252,7 +223,7 @@ def cmd_dro_diagnose(args) -> int:
     for b in range(args.batches):
         user = int(rng.choice(users_with_train))
         items = sample_negatives(sampler, ds, user, args.n_negatives)
-        scores = score_all_items(ckpt.emb, user)[items]
+        scores, _ = cosine_score(ckpt.emb, user, items)
         base = np.full(items.size, 1.0 / items.size)
         for tau in taus:
             wc = worst_case_weights(scores, base, tau)
@@ -337,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "KL-ball robustness diagnostics.")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured rng seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; this build runs single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate/normalize raw interaction files")

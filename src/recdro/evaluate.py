@@ -7,12 +7,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DEFAULT_TAU_GRID, LossKind, LossSpec, NegSampler,
+from .config import (DEFAULT_TAU_GRID, ConfigError, LossKind, LossSpec,
                      TrainConfig, spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
-from .model import EmbeddingTable, score_all_items, train
-from .sampling import SamplerState, popularity_weights_from_counts, sample_negatives
+from .model import EmbeddingTable, cosine_score, score_all_items, train
+from .sampling import SamplerState, contaminate_positives, sample_negatives
+
+#: Non-training items per evaluated user pooled into ``neg_score_variance``.
+VARIANCE_SAMPLES_PER_USER = 100
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,11 @@ class EvalReport:
     n_eval_users: int
 
 
+def selection_cutoff(ks) -> int:
+    """The NDCG cutoff that selects models: 20 when evaluated, else the largest."""
+    return 20 if 20 in ks else max(ks)
+
+
 def _discounts(k: int) -> np.ndarray:
     return 1.0 / np.log2(np.arange(2, k + 2))
 
@@ -49,30 +57,28 @@ def rank_items(scores: np.ndarray, exclude_items=None) -> np.ndarray:
     return np.argsort(-masked, kind="stable")
 
 
-def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10,
-             neg_samples_per_user: int = 100, seed: int = 0,
-             inner_product: bool = False) -> EvalReport:
+def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalReport:
     """Rank every item per user (training items excluded) and score the split.
 
-    Ties are broken by ascending item id. Users with empty test sets are
-    skipped entirely; it is an error if no user has test items.
-    ``neg_score_variance`` pools ``neg_samples_per_user`` uniformly sampled
-    non-training items per evaluated user and reports the population variance
-    of their scores. ``inner_product`` switches test-time scoring away from
-    the default cosine.
+    Items are scored by cosine similarity; ties are broken by ascending item
+    id. Users with empty test sets are skipped entirely; it is an error if no
+    user has test items. ``neg_score_variance`` pools
+    ``VARIANCE_SAMPLES_PER_USER`` non-training items per evaluated user, drawn
+    uniformly from a stream seeded with 0, and reports the population
+    variance of their scores.
     """
     ks = sorted(int(k) for k in ks)
     if not ks or ks[0] < 1:
         raise ValueError("ks must be nonempty positive integers")
     kmax = ks[-1]
-    group_cutoff = 20 if 20 in ks else kmax
+    group_cutoff = selection_cutoff(ks)
     groups = popularity_groups(ds, n_groups)
 
     eval_users = [u for u in range(ds.n_users) if ds.test_pos[u].size]
     if not eval_users:
         raise ValueError("no user has test items")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     discounts = _discounts(kmax)
 
     recall_acc = {k: [] for k in ks}
@@ -81,7 +87,7 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10,
     pooled_scores = []
 
     for u in eval_users:
-        scores = score_all_items(emb, u, inner_product=inner_product)
+        scores = score_all_items(emb, u)
         test_items = ds.test_pos[u]
         order = rank_items(scores, exclude_items=ds.train_pos[u])
         topk = order[:kmax]
@@ -104,7 +110,7 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10,
         candidate = np.ones(ds.n_items, dtype=bool)
         candidate[ds.train_pos[u]] = False
         neg_pool = np.flatnonzero(candidate)
-        take = min(neg_samples_per_user, neg_pool.size)
+        take = min(VARIANCE_SAMPLES_PER_USER, neg_pool.size)
         if take:
             sampled = rng.choice(neg_pool, size=take, replace=False)
             pooled_scores.append(scores[sampled])
@@ -175,9 +181,7 @@ def grid_search_train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
     grid = tuple(tau_grid) if tau_grid else DEFAULT_TAU_GRID
     if tau_param is None:
         grid = (math.nan,)
-    select_k = max(eval_ks)
-    if 20 in eval_ks:
-        select_k = 20
+    select_k = selection_cutoff(eval_ks)
 
     best = None
     cells = []
@@ -203,12 +207,7 @@ def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig
     configured number of negatives, score them, and convert the score
     variance into a radius at temperature ``tau`` (uniform base).
     """
-    weights = None
-    if cfg.neg_sampler is NegSampler.POPULARITY:
-        weights = popularity_weights_from_counts(ds.item_popularity,
-                                                 cfg.popularity_exponent)
-    sampler = SamplerState.create(seed=seed, mode=cfg.neg_sampler,
-                                  r_noise=cfg.r_noise, popularity_weights=weights)
+    sampler = SamplerState.for_config(ds, cfg, seed=seed)
     out = []
     for u in range(ds.n_users):
         if len(out) >= n_users:
@@ -216,7 +215,7 @@ def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig
         if not ds.train_pos[u].size:
             continue
         items = sample_negatives(sampler, ds, u, cfg.n_negatives)
-        scores = score_all_items(emb, u)[items]
+        scores, _ = cosine_score(emb, u, items)
         base = np.full(items.size, 1.0 / items.size)
         out.append(estimate_eta(scores, base, tau))
     return np.asarray(out)
@@ -224,7 +223,11 @@ def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig
 
 @dataclass(frozen=True)
 class NoiseSweepRow:
-    r_noise: float
+    """One sweep cell; an axis that was not swept reads None."""
+
+    r_noise: float | None
+    pos_noise_ratio: float | None
+    n_negatives: int | None
     best_tau: float
     recall: float
     ndcg: float
@@ -232,34 +235,61 @@ class NoiseSweepRow:
     eta_median: float
 
 
-def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values,
-                tau_grid=None, eval_ks=(20,)) -> list[NoiseSweepRow]:
-    """Grid-search the temperature at each false-negative noise level.
+def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
+                tau_grid=None, eval_ks=(20,), n_negatives_values=(),
+                pos_noise_values=()) -> list[NoiseSweepRow]:
+    """Grid-search the temperature in every cell of a noise sweep.
+
+    The axes are the false-negative weight ``r_values`` (``cfg.r_noise``),
+    the false-positive ratio ``pos_noise_values`` (injected by
+    :func:`contaminate_positives` seeded with ``cfg.rng_seed``) and the
+    sample count ``n_negatives_values``; an empty axis keeps ``cfg``'s
+    setting. Cells run pos-noise, then r_noise, then n_negatives. Every
+    value is checked before the first cell trains.
 
     Each row reports the best-temperature metrics at the selection cutoff and
-    the mean/median implied radius of negative batches under that model.
-    Temperature-free losses train once per noise level and report NaN radii.
+    the mean/median implied radius of negative batches under that model,
+    taken at ``tau_neg`` for BSL and ``tau`` otherwise. Giving the pos-noise
+    axis makes BSL grid ``tau_pos``, the temperature that counters positive
+    noise. Temperature-free losses train once per cell and report NaN radii.
     """
-    if any(r < 0 for r in r_values):
-        raise ValueError("r_values must be nonnegative")
-    select_k = 20 if 20 in eval_ks else max(eval_ks)
+    r_axis, n_axis = list(r_values), list(n_negatives_values)
+    p_axis = list(pos_noise_values)
+    if not all(r >= 0 for r in r_axis):
+        raise ConfigError("r_noise values must be >= 0")
+    if not all(n >= 1 for n in n_axis):
+        raise ConfigError("n_negatives values must be >= 1")
+    if not all(0 <= p < 1 for p in p_axis):
+        raise ConfigError("pos_noise_ratio values must lie in [0, 1)")
+    select_k = selection_cutoff(eval_ks)
+    tau_param = default_tau_param(spec.kind, positive_side=bool(p_axis))
     rows = []
-    for r in r_values:
-        cfg_r = replace(cfg, r_noise=float(r))
-        result = grid_search_train(ds, cfg_r, spec, tau_grid=tau_grid,
-                                   eval_ks=eval_ks)
-        tau_param = default_tau_param(spec.kind)
-        if tau_param is None:
-            eta_mean = eta_median = float("nan")
-        else:
-            tau_used = getattr(result.best_spec, "tau_neg"
-                               if spec.kind is LossKind.BSL else "tau")
-            etas = negative_radius_estimates(result.emb, ds, cfg_r, tau_used)
-            eta_mean = float(np.mean(etas))
-            eta_median = float(np.median(etas))
-        rows.append(NoiseSweepRow(
-            r_noise=float(r), best_tau=result.best_tau,
-            recall=result.report.recall[select_k],
-            ndcg=result.report.ndcg[select_k],
-            eta_mean=eta_mean, eta_median=eta_median))
+    for p in p_axis or [None]:
+        ds_p = contaminate_positives(ds, p, cfg.rng_seed) if p else ds
+        for r in r_axis or [None]:
+            for n_neg in n_axis or [None]:
+                cfg_cell = cfg
+                if r is not None:
+                    cfg_cell = replace(cfg_cell, r_noise=float(r))
+                if n_neg is not None:
+                    cfg_cell = replace(cfg_cell, n_negatives=int(n_neg))
+                result = grid_search_train(ds_p, cfg_cell, spec, tau_grid=tau_grid,
+                                           tau_param=tau_param, eval_ks=eval_ks,
+                                           n_groups=min(10, ds_p.n_items))
+                if tau_param is None:
+                    eta_mean = eta_median = float("nan")
+                else:
+                    tau_used = (result.best_spec.tau_neg if spec.kind is LossKind.BSL
+                                else result.best_spec.tau)
+                    etas = negative_radius_estimates(result.emb, ds_p, cfg_cell, tau_used)
+                    eta_mean = float(np.mean(etas))
+                    eta_median = float(np.median(etas))
+                rows.append(NoiseSweepRow(
+                    r_noise=None if r is None else float(r),
+                    pos_noise_ratio=None if p is None else float(p),
+                    n_negatives=None if n_neg is None else int(n_neg),
+                    best_tau=result.best_tau,
+                    recall=result.report.recall[select_k],
+                    ndcg=result.report.ndcg[select_k],
+                    eta_mean=eta_mean, eta_median=eta_median))
     return rows

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BslForm, LossKind, LossSpec, NegSampler, SamplingMode, TrainConfig
+from .config import BslForm, LossKind, LossSpec, SamplingMode, TrainConfig
 from .data import Dataset
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
-from .sampling import (SamplerState, in_batch_negatives,
-                       popularity_weights_from_counts, sample_negatives)
+from .sampling import SamplerState, in_batch_negatives, sample_negatives
 
 #: Added to every row norm before dividing; keeps zero vectors finite.
 NORM_EPS = 1e-12
@@ -298,13 +297,7 @@ def train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
     loss_fn = loss_fn_from_spec(spec)
     rng = np.random.default_rng(cfg.rng_seed)
 
-    if cfg.neg_sampler is NegSampler.POPULARITY:
-        weights = popularity_weights_from_counts(ds.item_popularity,
-                                                 cfg.popularity_exponent)
-    else:
-        weights = None
-    sampler = SamplerState.create(seed=cfg.rng_seed + 1, mode=cfg.neg_sampler,
-                                  r_noise=cfg.r_noise, popularity_weights=weights)
+    sampler = SamplerState.for_config(ds, cfg, seed=cfg.rng_seed + 1)
 
     pairs = ds.train_pairs()
     if pairs.shape[0] == 0:

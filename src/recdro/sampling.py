@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NegSampler
+from .config import NegSampler, TrainConfig
 from .data import Dataset
 
 logger = logging.getLogger(__name__)
@@ -22,16 +22,12 @@ class SamplerState:
     into their negative draws: each draw picks a positive with probability
     r_noise * W+ / (r_noise * W+ + W-), where W+/W- are the base-sampler
     weights of the positive/negative item sets (set sizes in uniform mode).
-
-    A state caches each user's negative item array, so it must not outlive
-    the dataset it first sampled from.
     """
 
     rng: np.random.Generator
     mode: NegSampler = NegSampler.UNIFORM
     r_noise: float = 0.0
     popularity_weights: np.ndarray | None = None
-    _neg_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.r_noise < 0:
@@ -52,15 +48,15 @@ class SamplerState:
         return cls(rng=np.random.default_rng(seed), mode=mode,
                    r_noise=r_noise, popularity_weights=popularity_weights)
 
-
-def _user_negatives(st: SamplerState, ds: Dataset, user: int) -> np.ndarray:
-    cached = st._neg_cache.get(user)
-    if cached is None:
-        mask = np.ones(ds.n_items, dtype=bool)
-        mask[ds.train_pos[user]] = False
-        cached = np.flatnonzero(mask).astype(np.int64)
-        st._neg_cache[user] = cached
-    return cached
+    @classmethod
+    def for_config(cls, ds: Dataset, cfg: TrainConfig, seed: int) -> "SamplerState":
+        """The sampler ``cfg`` configures, weighted by ``ds``'s popularity."""
+        weights = None
+        if cfg.neg_sampler is NegSampler.POPULARITY:
+            weights = popularity_weights_from_counts(ds.item_popularity,
+                                                     cfg.popularity_exponent)
+        return cls.create(seed=seed, mode=cfg.neg_sampler, r_noise=cfg.r_noise,
+                          popularity_weights=weights)
 
 
 def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.ndarray:
@@ -68,19 +64,20 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
 
     Draws mix the user's true negatives with their positives at relative
     weight ``st.r_noise`` (see :class:`SamplerState`); with ``r_noise = 0``
-    no training positive is ever returned.
+    no training positive is ever returned. A negative is drawn as its rank
+    among the user's non-positive items, so no complement is materialized.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     pos = ds.train_pos[user]
-    neg = _user_negatives(st, ds, user)
+    n_neg = ds.n_items - pos.size
     r = st.r_noise
-    if neg.size == 0 and r == 0:
+    if n_neg == 0 and r == 0:
         raise ValueError(f"user {user} has no negatives and r_noise is 0")
 
     if st.mode is NegSampler.UNIFORM:
         w_pos = float(pos.size)
-        w_neg = float(neg.size)
+        w_neg = float(n_neg)
         pos_p = None
         neg_p = None
     else:
@@ -88,7 +85,7 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
         if weights.shape[0] != ds.n_items:
             raise ValueError("popularity_weights length must equal n_items")
         pos_w = weights[pos]
-        neg_w = weights[neg]
+        neg_w = np.delete(weights, pos)
         w_pos = float(pos_w.sum())
         w_neg = float(neg_w.sum())
         pos_p = pos_w / w_pos if w_pos > 0 else None
@@ -111,9 +108,13 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
         if neg_p is None and st.mode is NegSampler.POPULARITY:
             raise ValueError(f"user {user} has zero-weight negatives")
         if st.mode is NegSampler.UNIFORM:
-            out[~take_pos] = neg[st.rng.integers(0, neg.size, size=n - k)]
+            ranks = st.rng.integers(0, n_neg, size=n - k)
         else:
-            out[~take_pos] = st.rng.choice(neg, size=n - k, replace=True, p=neg_p)
+            ranks = st.rng.choice(n_neg, size=n - k, replace=True, p=neg_p)
+        # pos[j] - j non-positive items precede positive j, so every positive
+        # at or below that count shifts the rank-th negative up by one
+        out[~take_pos] = ranks + np.searchsorted(pos - np.arange(pos.size), ranks,
+                                                 side="right")
     return out
 
 

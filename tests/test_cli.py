@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 import json
 
@@ -243,6 +244,53 @@ class TestNoiseSweepCommand:
         rows = read_rows(out / "sweep.csv")
         clean, noisy = (float(r[6]) for r in rows[1:])
         assert noisy < clean
+
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--r-noise-values", "0,1,-1"),
+        ("--n-negatives-values", "8,0"),
+        ("--pos-noise-values", "0,1.5"),
+    ])
+    def test_bad_axis_value_is_usage_error_before_training(self, tmp_path, monkeypatch,
+                                                           flag, values):
+        # the package re-exports a function named evaluate over the module
+        evaluate_module = importlib.import_module("recdro.evaluate")
+        trained = []
+        monkeypatch.setattr(evaluate_module, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        write_fixture(tmp_path)
+        cfg = write_config(tmp_path, tau_grid="0.2")
+        out = tmp_path / "sweep"
+        code = main(["noise-sweep", "--config", str(cfg), "--out", str(out),
+                     flag, values])
+        assert code == 2
+        assert trained == []
+        assert not (out / "sweep.csv").exists()
+
+    def test_bsl_pos_noise_axis_matches_library_sweep(self, tmp_path):
+        write_fixture(tmp_path)
+        cfg = write_config(tmp_path, loss="bsl", tau_grid="0.1,0.5", epochs="4",
+                           eval_every="0")
+        out = tmp_path / "sweep"
+        assert main(["noise-sweep", "--config", str(cfg), "--out", str(out),
+                     "--pos-noise-values", "0,0.3"]) == 0
+        rows = read_rows(out / "sweep.csv")[1:]
+        from recdro.config import load_config
+        from recdro.evaluate import grid_search_train, noise_sweep
+        conf = load_config(cfg)
+        ds = load_dataset(tmp_path / "train.txt", tmp_path / "test.txt")
+        sweep = noise_sweep(ds, conf.train, conf.loss, tau_grid=conf.tau_grid,
+                            eval_ks=conf.eval_ks, pos_noise_values=[0.0, 0.3])
+        assert len(rows) == len(sweep) == 2
+        for row, cell in zip(rows, sweep):
+            assert float(row[1]) == cell.pos_noise_ratio
+            assert float(row[4]) == cell.best_tau
+            assert float(row[6]) == cell.ndcg
+        clean = grid_search_train(ds, conf.train, conf.loss, tau_grid=conf.tau_grid,
+                                  tau_param="tau_pos", eval_ks=conf.eval_ks,
+                                  n_groups=min(10, ds.n_items))
+        assert sweep[0].best_tau == clean.best_tau
+        assert sweep[0].ndcg == clean.report.ndcg[20]
 
 
 class TestDroDiagnoseCommand:

@@ -177,6 +177,14 @@ class TestNoiseSweep:
         assert math.isnan(rows[0].best_tau)
         assert math.isnan(rows[0].eta_mean)
 
+    def test_catalog_smaller_than_ten_items(self):
+        ds = planted_clusters(n_users=30, n_items=6, p_in=0.6, seed=4)
+        assert ds.n_items < 10
+        rows = noise_sweep(ds, self.cfg(), LossSpec(kind=LossKind.SL, tau=0.2),
+                           [0.0, 1.0], tau_grid=(0.2,))
+        assert [row.r_noise for row in rows] == [0.0, 1.0]
+        assert all(math.isfinite(row.ndcg) for row in rows)
+
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             noise_sweep(self.fixture(), self.cfg(),

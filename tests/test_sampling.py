@@ -85,6 +85,60 @@ class TestSampleNegatives:
         w = popularity_weights_from_counts(np.array([1, 4, 9]), exponent=0.5)
         assert np.allclose(w, [1, 2, 3])
 
+    def test_state_reused_on_second_dataset_sees_its_positives(self):
+        first = one_user_dataset(100, 10)
+        second = Dataset.from_positive_lists([list(range(50, 60))], [[]], n_items=100)
+        st = SamplerState.create(seed=5)
+        sample_negatives(st, first, 0, 100)
+        draws = sample_negatives(st, second, 0, 10_000)
+        assert not np.isin(draws, second.train_pos[0]).any()
+
+    @staticmethod
+    def materialized_reference(st, ds, user, n):
+        """Sample from the sorted complement, making the same RNG calls."""
+        pos = ds.train_pos[user]
+        neg = np.setdiff1d(np.arange(ds.n_items), pos)
+        if st.mode is NegSampler.UNIFORM:
+            w_pos, w_neg, pos_p, neg_p = float(pos.size), float(neg.size), None, None
+        else:
+            pos_w, neg_w = st.popularity_weights[pos], st.popularity_weights[neg]
+            w_pos, w_neg = float(pos_w.sum()), float(neg_w.sum())
+            pos_p, neg_p = pos_w / w_pos, neg_w / w_neg
+        take_pos = st.rng.random(n) < st.r_noise * w_pos / (st.r_noise * w_pos + w_neg)
+        k = int(take_pos.sum())
+        out = np.empty(n, dtype=np.int64)
+        if st.mode is NegSampler.UNIFORM:
+            if k:
+                out[take_pos] = pos[st.rng.integers(0, pos.size, size=k)]
+            if k < n:
+                out[~take_pos] = neg[st.rng.integers(0, neg.size, size=n - k)]
+        else:
+            if k:
+                out[take_pos] = st.rng.choice(pos, size=k, replace=True, p=pos_p)
+            if k < n:
+                out[~take_pos] = st.rng.choice(neg, size=n - k, replace=True, p=neg_p)
+        return out
+
+    @pytest.mark.parametrize("mode", list(NegSampler))
+    @pytest.mark.parametrize("r_noise", [0.0, 0.1, 3.0])
+    def test_matches_materialized_complement_oracle(self, mode, r_noise):
+        n_items = 40
+        # users 0 and 1 hold the catalog's first and last item, user 3 is
+        # one positive short of the whole catalog
+        ds = Dataset.from_positive_lists(
+            [[0, 1, 7, 39], [0, 20, 38, 39], [5, 6, 7, 8, 30], list(range(1, 40))],
+            [[], [], [], []], n_items=n_items)
+        weights = (popularity_weights_from_counts(np.arange(1, n_items + 1))
+                   if mode is NegSampler.POPULARITY else None)
+        fast = SamplerState.create(seed=11, mode=mode, r_noise=r_noise,
+                                   popularity_weights=weights)
+        slow = SamplerState.create(seed=11, mode=mode, r_noise=r_noise,
+                                   popularity_weights=weights)
+        for user in (0, 1, 2, 3, 0, 3):
+            for n in (1, 64, 500):
+                expect = self.materialized_reference(slow, ds, user, n)
+                assert np.array_equal(sample_negatives(fast, ds, user, n), expect)
+
 
 class TestContaminatePositives:
     def test_zero_ratio_is_identity(self):
