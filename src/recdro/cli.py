@@ -19,13 +19,13 @@ import numpy as np
 
 from .evaluate import (default_tau_param, evaluate, noise_sweep, report_as_dict,
                        report_rows, selection_cutoff)
-from .config import (CONFIG_KEYS, ConfigError, ExperimentConfig, load_config,
-                     override_config, config_as_dict)
+from .config import (CONFIG_KEYS, ConfigError, ExperimentConfig, _parse_float_list,
+                     _parse_int_list, load_config, override_config, config_as_dict)
 from .data import DataFormatError, Dataset, load_dataset, save_dataset
 from .dro import estimate_eta, worst_case_weights
 from .model import (CheckpointError, TrainingDivergedError, cosine_score,
                     load_checkpoint, save_checkpoint, train)
-from .sampling import SamplerState, contaminate_positives, sample_negatives
+from .sampling import SamplerState, prepare_dataset, sample_negatives
 
 ARTIFACT_VERSION = "recdro-0.1.0"
 
@@ -108,9 +108,7 @@ def cmd_train(args) -> int:
     _check_resume(out_dir, cfg)
     _write_manifest(out_dir, cfg)
 
-    ds = _load_split(cfg)
-    if cfg.train.pos_noise_ratio > 0:
-        ds = contaminate_positives(ds, cfg.train.pos_noise_ratio, cfg.train.rng_seed)
+    ds = prepare_dataset(_load_split(cfg), cfg.train)
 
     ks = cfg.eval_ks
     best = {"ndcg": -1.0, "epoch": -1}
@@ -160,7 +158,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.train, args.test)
-    ks = [int(k) for k in args.ks.replace(",", " ").split()]
+    ks = _parse_int_list(args.ks)
+    if not ks or any(k < 1 for k in ks):
+        raise ConfigError("--ks must be positive integers")
     report = evaluate(ckpt.emb, ds, ks, n_groups=min(args.n_groups, ds.n_items))
     print(json.dumps(report_as_dict(report), indent=2, sort_keys=True))
     if args.out:
@@ -173,9 +173,9 @@ def cmd_noise_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = _load_split(cfg)
-    r_values = [float(v) for v in (args.r_noise_values or "").replace(",", " ").split()]
-    n_values = [int(v) for v in (args.n_negatives_values or "").replace(",", " ").split()]
-    p_values = [float(v) for v in (args.pos_noise_values or "").replace(",", " ").split()]
+    r_values = _parse_float_list(args.r_noise_values or "")
+    n_values = _parse_int_list(args.n_negatives_values or "")
+    p_values = _parse_float_list(args.pos_noise_values or "")
     if not (r_values or n_values or p_values):
         raise ConfigError("empty sweep: give at least one of --r-noise-values, "
                           "--n-negatives-values, --pos-noise-values")
@@ -205,7 +205,7 @@ def cmd_noise_sweep(args) -> int:
 def cmd_dro_diagnose(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.train, args.test)
-    taus = [float(t) for t in args.taus.replace(",", " ").split()]
+    taus = _parse_float_list(args.taus)
     if not taus or any(t <= 0 for t in taus):
         raise ConfigError("--taus must be positive reals")
     out_dir = Path(args.out)

@@ -11,8 +11,11 @@ from .config import (DEFAULT_TAU_GRID, ConfigError, LossKind, LossSpec,
                      TrainConfig, spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
-from .model import EmbeddingTable, cosine_score, score_all_items, train
-from .sampling import SamplerState, contaminate_positives, sample_negatives
+from .model import EmbeddingTable, _normalize_rows, cosine_score, train
+# the per-user scorer evaluate() reproduces; bound here so that profilers can
+# patch it by name beside rank_items
+from .model import score_all_items  # noqa: F401
+from .sampling import SamplerState, prepare_dataset, sample_negatives
 
 #: Non-training items per evaluated user pooled into ``neg_score_variance``.
 VARIANCE_SAMPLES_PER_USER = 100
@@ -57,6 +60,22 @@ def rank_items(scores: np.ndarray, exclude_items=None) -> np.ndarray:
     return np.argsort(-masked, kind="stable")
 
 
+def _top_k(scores: np.ndarray, exclude_items, k: int) -> np.ndarray:
+    """``rank_items(scores, exclude_items)[:k]`` without a full sort.
+
+    The k-th smallest negated score is a threshold; every item at or below
+    it (ties included) is a candidate, and the candidates are ordered by
+    (negated score, id), which is the stable sort's order restricted to them.
+    """
+    neg = -np.asarray(scores, dtype=np.float64)
+    neg[np.asarray(exclude_items, dtype=np.int64)] = np.inf
+    kth = min(k, neg.size) - 1
+    threshold = np.partition(neg, kth)[kth]
+    # `not >` rather than `<=` keeps NaN scores, which the stable sort puts last
+    candidates = np.flatnonzero(~(neg > threshold))
+    return candidates[np.lexsort((candidates, neg[candidates]))][:k]
+
+
 def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalReport:
     """Rank every item per user (training items excluded) and score the split.
 
@@ -86,11 +105,14 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     group_acc = np.zeros(n_groups)
     pooled_scores = []
 
+    # one gemv per user on tables normalized once: score_all_items' bits
+    u_hat, _, _ = _normalize_rows(emb.user_vecs)
+    i_hat, _, _ = _normalize_rows(emb.item_vecs)
+
     for u in eval_users:
-        scores = score_all_items(emb, u)
+        scores = i_hat @ u_hat[u]
         test_items = ds.test_pos[u]
-        order = rank_items(scores, exclude_items=ds.train_pos[u])
-        topk = order[:kmax]
+        topk = _top_k(scores, ds.train_pos[u], kmax)
         is_hit = np.isin(topk, test_items)
 
         n_test = test_items.size
@@ -242,10 +264,11 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
 
     The axes are the false-negative weight ``r_values`` (``cfg.r_noise``),
     the false-positive ratio ``pos_noise_values`` (injected by
-    :func:`contaminate_positives` seeded with ``cfg.rng_seed``) and the
-    sample count ``n_negatives_values``; an empty axis keeps ``cfg``'s
-    setting. Cells run pos-noise, then r_noise, then n_negatives. Every
-    value is checked before the first cell trains.
+    :func:`prepare_dataset`, seeded with ``cfg.rng_seed``) and the sample
+    count ``n_negatives_values``; an empty axis keeps ``cfg``'s setting, so
+    without a pos-noise axis the split carries ``cfg.pos_noise_ratio``.
+    Cells run pos-noise, then r_noise, then n_negatives. Every value is
+    checked before the first cell trains.
 
     Each row reports the best-temperature metrics at the selection cutoff and
     the mean/median implied radius of negative batches under that model,
@@ -265,7 +288,7 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     tau_param = default_tau_param(spec.kind, positive_side=bool(p_axis))
     rows = []
     for p in p_axis or [None]:
-        ds_p = contaminate_positives(ds, p, cfg.rng_seed) if p else ds
+        ds_p = prepare_dataset(ds, cfg if p is None else replace(cfg, pos_noise_ratio=p))
         for r in r_axis or [None]:
             for n_neg in n_axis or [None]:
                 cfg_cell = cfg

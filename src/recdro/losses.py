@@ -98,6 +98,18 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def _logsumexp_softmax(x: np.ndarray, axis: int = -1):
+    """``(logsumexp(x, axis), softmax(x, axis))`` from one max-shifted exp.
+
+    Both results carry exactly the bits of the two separate functions.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    total = np.sum(e, axis=axis, keepdims=True)
+    return (m + np.log(total)).squeeze(axis), e / total
+
+
 def _check_tau(tau: float, name: str = "tau") -> float:
     tau = float(tau)
     if not tau >= MIN_TAU:
@@ -160,10 +172,10 @@ def softmax_loss(batch: ScoreBatch, tau: float) -> LossResult:
     """
     tau = _check_tau(tau)
     n = batch.n_examples
-    lse = logsumexp(batch.neg_scores / tau, axis=1)
+    lse, weights = _logsumexp_softmax(batch.neg_scores / tau, axis=1)
     value = float(np.mean(-batch.pos_scores + tau * lse))
     grad_pos = np.full(n, -1.0 / n)
-    grad_neg = softmax(batch.neg_scores / tau, axis=1) / n
+    grad_neg = weights / n
     return LossResult(value, grad_pos, grad_neg)
 
 
@@ -210,10 +222,10 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
     if form is BslForm.PSEUDOCODE:
         if pos_group_sizes is not None and any(s != 1 for s in pos_group_sizes):
             raise ValueError("pseudocode form takes one positive per example")
-        lse = logsumexp(batch.neg_scores / tau_neg, axis=1)
+        lse, weights = _logsumexp_softmax(batch.neg_scores / tau_neg, axis=1)
         value = float(np.mean(-batch.pos_scores / tau_pos + (tau_pos / tau_neg) * lse))
         grad_pos = np.full(n, -1.0 / (tau_pos * n))
-        grad_neg = (tau_pos / tau_neg ** 2) * softmax(batch.neg_scores / tau_neg, axis=1) / n
+        grad_neg = (tau_pos / tau_neg ** 2) * weights / n
         return LossResult(value, grad_pos, grad_neg)
 
     if form is not BslForm.CANONICAL:
@@ -237,13 +249,12 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
         rows = slice(start, start + size)
         p = batch.pos_scores[rows]
         negs = batch.neg_scores[rows]
+        pos_lse, pos_w = _logsumexp_softmax(p / tau_pos)
+        neg_lse, neg_w = _logsumexp_softmax(negs.ravel() / tau_neg)
         # -tau_pos * log mean exp(p/tau_pos) = -tau_pos * (lse(p/tau_pos) - log size)
-        pos_part = -tau_pos * (logsumexp(p / tau_pos) - np.log(size))
-        neg_part = tau_neg * logsumexp(negs.ravel() / tau_neg)
-        total += pos_part + neg_part
-        grad_pos[rows] = -softmax(p / tau_pos) / n_groups
-        w = softmax(negs.ravel() / tau_neg).reshape(negs.shape)
-        grad_neg[rows] = w / n_groups
+        total += -tau_pos * (pos_lse - np.log(size)) + tau_neg * neg_lse
+        grad_pos[rows] = -pos_w / n_groups
+        grad_neg[rows] = neg_w.reshape(negs.shape) / n_groups
         start += size
     return LossResult(total / n_groups, grad_pos, grad_neg)
 

@@ -10,7 +10,7 @@ import numpy as np
 from .config import BslForm, LossKind, LossSpec, SamplingMode, TrainConfig
 from .data import Dataset
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
-from .sampling import SamplerState, in_batch_negatives, sample_negatives
+from .sampling import SamplerState, sample_negatives
 
 #: Added to every row norm before dividing; keeps zero vectors finite.
 NORM_EPS = 1e-12
@@ -150,11 +150,14 @@ class AdamState:
                    beta1=beta1, beta2=beta2, eps=eps)
 
     def _update_rows(self, param, m, v, rows, grads, lr):
+        # rows are unique, so the gathered moments are what m[rows]/v[rows] hold
         b1, b2 = self.beta1, self.beta2
-        m[rows] = b1 * m[rows] + (1.0 - b1) * grads
-        v[rows] = b2 * v[rows] + (1.0 - b2) * grads * grads
-        m_hat = m[rows] / (1.0 - b1 ** self.step)
-        v_hat = v[rows] / (1.0 - b2 ** self.step)
+        m_rows = b1 * m[rows] + (1.0 - b1) * grads
+        v_rows = b2 * v[rows] + (1.0 - b2) * grads * grads
+        m[rows] = m_rows
+        v[rows] = v_rows
+        m_hat = m_rows / (1.0 - b1 ** self.step)
+        v_hat = v_rows / (1.0 - b2 ** self.step)
         param[rows] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def apply(self, emb: EmbeddingTable, user_rows, user_grads,
@@ -169,11 +172,29 @@ class AdamState:
                               item_rows, item_grads, lr)
 
 
+#: Columns summed per ``bincount`` call in :func:`_scatter_rows`.
+SCATTER_BLOCK = 8
+
+
 def _scatter_rows(inv: np.ndarray, grads: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum gradient rows that share a target row (bincount per column)."""
-    out = np.empty((n_rows, grads.shape[1]))
-    for col in range(grads.shape[1]):
-        out[:, col] = np.bincount(inv, weights=grads[:, col], minlength=n_rows)
+    """Sum gradient rows that share a target row.
+
+    One ``bincount`` sums SCATTER_BLOCK columns at once: column c of the
+    block goes to bins ``c * n_rows + inv``. Every bin still receives its
+    contributions in row order, so the sums match a per-column ``bincount``
+    bit for bit, while the index stays SCATTER_BLOCK x B rather than d x B.
+    Column-major ``grads`` (a transposed C array) are read without a copy.
+    """
+    d = grads.shape[1]
+    out = np.empty((n_rows, d))
+    index = None
+    for lo in range(0, d, SCATTER_BLOCK):
+        block = grads[:, lo:lo + SCATTER_BLOCK].T
+        width = block.shape[0]
+        if index is None or index.size != width * inv.size:
+            index = (np.arange(width)[:, None] * n_rows + inv).ravel()
+        sums = np.bincount(index, weights=block.ravel(), minlength=width * n_rows)
+        out[:, lo:lo + width] = sums.reshape(width, n_rows).T
     return out
 
 
@@ -210,16 +231,30 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
     res = loss_fn(ScoreBatch(pos_scores, neg_scores))
 
     g_uhat = res.grad_pos[:, None] * p_hat + np.einsum("bm,bmd->bd", res.grad_neg, j_hat)
-    g_phat = res.grad_pos[:, None] * u_hat
-    g_jhat_flat = (res.grad_neg[:, :, None] * u_hat[:, None, :]).reshape(b * m, emb.d)
+    del j_hat
+    # item hat-gradients, one column per all_items entry (positives, then
+    # negatives), so that _scatter_rows reads their transpose without a copy
+    g_items_t = np.empty((emb.d, b * (m + 1)))
+    np.multiply(u_hat.T, res.grad_pos, out=g_items_t[:, :b])
+    np.multiply(u_hat.T[:, :, None], res.grad_neg,
+                out=g_items_t[:, b:].reshape(emb.d, b, m))
 
     user_hat_grads = _scatter_rows(u_inv, g_uhat, uniq_users.size)
-    item_hat_grads = _scatter_rows(i_inv, np.concatenate([g_phat, g_jhat_flat]),
-                                   uniq_items.size)
+    item_hat_grads = _scatter_rows(i_inv, g_items_t.T, uniq_items.size)
 
     user_grads = _normalize_backward(uu_raw, uu_norms, uu_shifts, user_hat_grads)
     item_grads = _normalize_backward(ii_raw, ii_norms, ii_shifts, item_hat_grads)
     return res.value, uniq_users, user_grads, uniq_items, item_grads
+
+
+def _off_diagonal(square: np.ndarray) -> np.ndarray:
+    """Writable (b-1, b) view of a C-ordered (b, b) array's off-diagonal.
+
+    Row r is the b entries between diagonal entries r and r+1 in memory, so
+    read row-major it is ``square[in_batch_negatives(...)]`` in that order.
+    """
+    b = square.shape[0]
+    return square.ravel()[1:].reshape(b - 1, b + 1)[:, :-1]
 
 
 def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
@@ -230,7 +265,8 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    mask = in_batch_negatives(users, items)
+    if users.shape != items.shape or users.ndim != 1 or users.size < 2:
+        raise ValueError("in-batch mode needs two or more (user, item) pairs")
     b = users.size
 
     u_raw = emb.user_vecs[users]
@@ -240,12 +276,12 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
 
     sim = u_hat @ i_hat.T
     pos_scores = np.diag(sim).copy()
-    neg_scores = sim[mask].reshape(b, b - 1)
+    neg_scores = _off_diagonal(sim).reshape(b, b - 1)
     res = loss_fn(ScoreBatch(pos_scores, neg_scores))
 
-    g_sim = np.zeros_like(sim)
-    g_sim[np.arange(b), np.arange(b)] = res.grad_pos
-    g_sim[mask] = res.grad_neg.ravel()
+    g_sim = np.empty_like(sim)
+    g_sim.ravel()[::b + 1] = res.grad_pos
+    _off_diagonal(g_sim)[...] = res.grad_neg.reshape(b - 1, b)
 
     g_uhat = g_sim @ i_hat
     g_ihat = g_sim.T @ u_hat
@@ -262,10 +298,14 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
 
 def _gather_negatives(sampler: SamplerState, ds: Dataset, users: np.ndarray,
                       m: int) -> np.ndarray:
-    """Sample an (B, m) negative block, one sampler call per distinct user."""
+    """Sample an (B, m) negative block, one sampler call per distinct user.
+
+    Users are visited in ascending order, and a user's rows in batch order.
+    """
     out = np.empty((users.size, m), dtype=np.int64)
-    for u in np.unique(users):
-        idx = np.flatnonzero(users == u)
+    by_user = np.argsort(users, kind="stable")
+    uniq, starts = np.unique(users[by_user], return_index=True)
+    for u, idx in zip(uniq, np.split(by_user, starts[1:])):
         draws = sample_negatives(sampler, ds, int(u), idx.size * m)
         out[idx] = draws.reshape(idx.size, m)
     return out

@@ -168,6 +168,15 @@ def contaminate_positives(ds: Dataset, ratio: float, seed: int) -> Dataset:
                                        n_users=ds.n_users, n_items=ds.n_items)
 
 
+def prepare_dataset(ds: Dataset, cfg: TrainConfig) -> Dataset:
+    """The training split ``cfg`` describes: ``ds`` with ``cfg.pos_noise_ratio``
+    false positives injected (seeded with ``cfg.rng_seed``), or ``ds`` itself
+    at ratio 0."""
+    if cfg.pos_noise_ratio > 0:
+        return contaminate_positives(ds, cfg.pos_noise_ratio, cfg.rng_seed)
+    return ds
+
+
 def in_batch_negatives(batch_users, batch_items) -> np.ndarray:
     """Negative mask for in-batch training: everything but the diagonal.
 

@@ -402,3 +402,59 @@ class TestIngestCommand:
         assert code == 0
         again = load_dataset(out / "train.txt", out / "test.txt")
         assert again.equals(ds)
+
+
+class TestListFlagParsing:
+    """Unparsable list flags are usage errors (exit 2), like config values."""
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--r-noise-values", "0,abc"),
+        ("--n-negatives-values", "4,eight"),
+        ("--pos-noise-values", "0.1;0.2"),
+    ])
+    def test_noise_sweep_axis(self, tmp_path, capsys, flag, values):
+        write_fixture(tmp_path)
+        cfg = write_config(tmp_path, tau_grid="0.2")
+        out = tmp_path / "sweep"
+        assert main(["noise-sweep", "--config", str(cfg), "--out", str(out),
+                     flag, values]) == 2
+        assert "expected" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def trained_checkpoint(self, tmp_path):
+        write_fixture(tmp_path)
+        cfg = write_config(tmp_path, epochs="1", eval_every="0")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        return out / "last.npz"
+
+    def test_dro_diagnose_taus(self, tmp_path, capsys):
+        ckpt = self.trained_checkpoint(tmp_path)
+        assert main(["dro-diagnose", "--checkpoint", str(ckpt),
+                     "--train", str(tmp_path / "train.txt"),
+                     "--test", str(tmp_path / "test.txt"),
+                     "--taus", "0.1,x", "--out", str(tmp_path / "diag")]) == 2
+        assert "expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ks, message", [
+        ("10,2.5", "expected an integer"), ("10,0", "--ks"), ("", "--ks"),
+    ])
+    def test_evaluate_ks(self, tmp_path, capsys, ks, message):
+        ckpt = self.trained_checkpoint(tmp_path)
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--train", str(tmp_path / "train.txt"),
+                     "--test", str(tmp_path / "test.txt"), "--ks", ks]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_noise_sweep_applies_config_pos_noise_ratio(tmp_path):
+    write_fixture(tmp_path)
+    csvs = {}
+    for ratio in ("0.0", "0.4"):
+        cfg = write_config(tmp_path, name=f"r{ratio}.cfg", tau_grid="0.2", epochs="4",
+                           eval_every="0", pos_noise_ratio=ratio)
+        out = tmp_path / f"sweep{ratio}"
+        assert main(["noise-sweep", "--config", str(cfg), "--out", str(out),
+                     "--r-noise-values", "0"]) == 0
+        csvs[ratio] = (out / "sweep.csv").read_bytes()
+    assert csvs["0.4"] != csvs["0.0"]

@@ -1,4 +1,6 @@
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ from recdro.data import Dataset
 from recdro.evaluate import (evaluate, grid_search_train, noise_sweep,
                              rank_items, report_as_dict, report_rows)
 from recdro.model import EmbeddingTable, score_all_items
+from recdro.sampling import contaminate_positives
 from recdro.synthetic import planted_clusters, random_interactions
+
+# the package re-exports a function named evaluate over the module
+evaluate_module = importlib.import_module("recdro.evaluate")
 
 
 def brute_force_metrics(emb, ds, ks):
@@ -140,6 +146,56 @@ class TestRankItems:
                                                    exclude_items=[3, 7]))
 
 
+class TestTopKBitIdentical:
+    """The partitioned top-k against the full stable ranking, exactly."""
+
+    @staticmethod
+    def check(scores, exclude, k):
+        expected = rank_items(scores, exclude_items=exclude)[:k]
+        got = evaluate_module._top_k(scores, exclude, k)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8, 11, 12, 40])
+    def test_ties_signed_zeros_and_exclusions(self, k):
+        scores = np.array([0.5, -0.0, 0.5, 0.0, 0.9, 0.5, -0.0, 0.9, 0.1, 0.0, 0.5, -1.0])
+        for exclude in ([], [4], [0, 3, 7], [1, 2, 4, 5, 6, 8, 9, 10, 11]):
+            self.check(scores, np.array(exclude, dtype=np.int64), k)
+
+    def test_k_reaches_into_the_excluded_tail(self):
+        scores = np.array([0.3, 0.3, 0.1, 0.3])
+        # three of four items excluded; the -inf tail keeps id order
+        self.check(scores, np.array([0, 1, 3]), 3)
+        self.check(scores, np.array([0, 1, 2, 3]), 4)
+        self.check(scores, np.array([0, 1, 2, 3]), 9)
+
+    def test_random_catalogs_with_coarse_scores(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            scores = rng.integers(-3, 4, size=n) / 2.0  # many exact ties
+            scores[rng.random(n) < 0.2] *= -1.0
+            exclude = np.flatnonzero(rng.random(n) < 0.3)
+            self.check(scores, exclude, int(rng.integers(1, n + 5)))
+
+    def test_nan_scores_rank_last(self):
+        scores = np.array([0.2, np.nan, 0.7, np.nan, 0.2])
+        for k in range(1, 7):
+            self.check(scores, np.array([2]), k)
+
+    def test_evaluate_scores_match_score_all_items(self, monkeypatch):
+        ds = random_interactions(30, 45, per_user=6, seed=13, test_fraction=0.3)
+        emb = embedding_for(ds, d=13, seed=13)
+        seen = []
+        real = evaluate_module._top_k
+        monkeypatch.setattr(evaluate_module, "_top_k",
+                            lambda scores, exclude, k: seen.append(scores) or real(scores, exclude, k))
+        evaluate(emb, ds, [5, 20], n_groups=3)
+        eval_users = [u for u in range(ds.n_users) if ds.test_pos[u].size]
+        assert len(seen) == len(eval_users)
+        for u, scores in zip(eval_users, seen):
+            assert np.array_equal(scores, score_all_items(emb, u))
+
+
 class TestNoiseSweep:
     def fixture(self):
         return planted_clusters(n_users=60, n_items=40, seed=9)
@@ -189,3 +245,14 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             noise_sweep(self.fixture(), self.cfg(),
                         LossSpec(kind=LossKind.SL), [-0.5])
+
+    def test_config_pos_noise_ratio_contaminates_the_split(self):
+        ds = self.fixture()
+        spec = LossSpec(kind=LossKind.SL, tau=0.2)
+        noisy_cfg = replace(self.cfg(), pos_noise_ratio=0.4)
+        rows = noise_sweep(ds, noisy_cfg, spec, [0.0], tau_grid=(0.2,))
+        noisy_ds = contaminate_positives(ds, 0.4, noisy_cfg.rng_seed)
+        expected = noise_sweep(noisy_ds, self.cfg(), spec, [0.0], tau_grid=(0.2,))
+        clean = noise_sweep(ds, self.cfg(), spec, [0.0], tau_grid=(0.2,))
+        assert rows == expected
+        assert rows != clean

@@ -305,3 +305,58 @@ def test_score_batch_validation():
         ScoreBatch([np.inf], [[0.1]])
     with pytest.raises(ValueError):
         ScoreBatch([], np.empty((0, 3)))
+
+
+class TestSharedExpBitIdentical:
+    """The one-exp losses against the logsumexp + softmax forms, exactly."""
+
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        return random_batch(rng, n=7, m=13, lo=-3.0, hi=3.0)
+
+    @staticmethod
+    def assert_same(res, value, grad_pos, grad_neg):
+        assert res.value == value
+        assert np.array_equal(res.grad_pos, grad_pos)
+        assert np.array_equal(res.grad_neg, grad_neg)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.3, 2.0])
+    def test_softmax_loss(self, tau):
+        b = self.batch(1)
+        n = b.n_examples
+        lse = logsumexp(b.neg_scores / tau, axis=1)
+        self.assert_same(softmax_loss(b, tau),
+                         float(np.mean(-b.pos_scores + tau * lse)),
+                         np.full(n, -1.0 / n),
+                         softmax(b.neg_scores / tau, axis=1) / n)
+
+    @pytest.mark.parametrize("tau_pos, tau_neg", [(0.1, 0.1), (0.4, 0.07)])
+    def test_bsl_pseudocode(self, tau_pos, tau_neg):
+        b = self.batch(2)
+        n = b.n_examples
+        lse = logsumexp(b.neg_scores / tau_neg, axis=1)
+        self.assert_same(
+            bsl_loss(b, tau_pos, tau_neg, BslForm.PSEUDOCODE),
+            float(np.mean(-b.pos_scores / tau_pos + (tau_pos / tau_neg) * lse)),
+            np.full(n, -1.0 / (tau_pos * n)),
+            (tau_pos / tau_neg ** 2) * softmax(b.neg_scores / tau_neg, axis=1) / n)
+
+    @pytest.mark.parametrize("sizes", [None, [3, 1, 2, 1]])
+    def test_bsl_canonical(self, sizes):
+        b = self.batch(3)
+        tau_pos, tau_neg = 0.3, 0.08
+        groups = sizes or [1] * b.n_examples
+        grad_pos = np.zeros(b.n_examples)
+        grad_neg = np.zeros_like(b.neg_scores)
+        total, start = 0.0, 0
+        for size in groups:
+            rows = slice(start, start + size)
+            p, negs = b.pos_scores[rows], b.neg_scores[rows]
+            pos_part = -tau_pos * (logsumexp(p / tau_pos) - np.log(size))
+            neg_part = tau_neg * logsumexp(negs.ravel() / tau_neg)
+            total += pos_part + neg_part
+            grad_pos[rows] = -softmax(p / tau_pos) / len(groups)
+            grad_neg[rows] = softmax(negs.ravel() / tau_neg).reshape(negs.shape) / len(groups)
+            start += size
+        self.assert_same(bsl_loss(b, tau_pos, tau_neg, BslForm.CANONICAL, pos_group_sizes=sizes),
+                         total / len(groups), grad_pos, grad_neg)

@@ -6,12 +6,12 @@ import pytest
 import recdro.model as model_mod
 from recdro.config import (BslForm, LossKind, LossSpec, SamplingMode, TrainConfig)
 from recdro.data import Dataset
-from recdro.losses import LossResult, loss_fn_from_spec
+from recdro.losses import LossResult, ScoreBatch, loss_fn_from_spec
 from recdro.model import (AdamState, CheckpointError, EmbeddingTable,
                           TrainingDivergedError, cosine_score, inbatch_batch_grads,
                           init_embeddings, load_checkpoint, sampled_batch_grads,
                           save_checkpoint, score_all_items, train)
-from recdro.sampling import SamplerState, sample_negatives
+from recdro.sampling import SamplerState, in_batch_negatives, sample_negatives
 from recdro.synthetic import planted_clusters
 
 
@@ -461,3 +461,127 @@ class TestCheckpoint:
         path.write_bytes(b"this is not a checkpoint")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestFastPathsBitIdentical:
+    """Each fast kernel against the slow form it replaced, compared exactly."""
+
+    @staticmethod
+    def per_column_scatter(inv, grads, n_rows):
+        out = np.empty((n_rows, grads.shape[1]))
+        for col in range(grads.shape[1]):
+            out[:, col] = np.bincount(inv, weights=grads[:, col], minlength=n_rows)
+        return out
+
+    @pytest.mark.parametrize("d", [1, 8, 13, 64])
+    def test_blocked_scatter_matches_per_column_bincount(self, d):
+        rng = np.random.default_rng(d)
+        inv = rng.integers(0, 37, size=900)  # many repeated target rows
+        inv[:5] = 36  # the last row is hit, and rows 0..35 may be empty
+        grads = rng.normal(size=(inv.size, d)) * 10.0 ** rng.integers(-8, 8, size=(inv.size, 1))
+        fast = model_mod._scatter_rows(inv, grads, 40)
+        assert np.array_equal(fast, self.per_column_scatter(inv, grads, 40))
+
+    @pytest.mark.parametrize("b", [2, 3, 17])
+    def test_off_diagonal_view_matches_in_batch_mask(self, b):
+        rng = np.random.default_rng(b)
+        sim = rng.normal(size=(b, b))
+        mask = in_batch_negatives(np.arange(b), np.arange(b))
+        assert np.array_equal(model_mod._off_diagonal(sim).reshape(b, b - 1),
+                              sim[mask].reshape(b, b - 1))
+        grad = rng.normal(size=(b, b - 1))
+        written, expected = np.zeros((b, b)), np.zeros((b, b))
+        model_mod._off_diagonal(written)[...] = grad.reshape(b - 1, b)
+        expected[mask] = grad.ravel()
+        assert np.array_equal(written, expected)
+
+    def test_in_batch_grads_match_masked_reference(self):
+        rng = np.random.default_rng(41)
+        emb = EmbeddingTable(rng.normal(size=(9, 7)), rng.normal(size=(11, 7)))
+        users = rng.integers(0, 9, size=16)
+        items = rng.integers(0, 11, size=16)
+        fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.2))
+        got = inbatch_batch_grads(emb, users, items, fn)
+
+        mask = in_batch_negatives(users, items)
+        b = users.size
+        u_hat, u_n, u_s = model_mod._normalize_rows(emb.user_vecs[users])
+        i_hat, i_n, i_s = model_mod._normalize_rows(emb.item_vecs[items])
+        sim = u_hat @ i_hat.T
+        res = fn(ScoreBatch(np.diag(sim).copy(), sim[mask].reshape(b, b - 1)))
+        g_sim = np.zeros_like(sim)
+        g_sim[np.arange(b), np.arange(b)] = res.grad_pos
+        g_sim[mask] = res.grad_neg.ravel()
+        g_u = model_mod._normalize_backward(emb.user_vecs[users], u_n, u_s, g_sim @ i_hat)
+        g_i = model_mod._normalize_backward(emb.item_vecs[items], i_n, i_s, g_sim.T @ u_hat)
+        uu, u_inv = np.unique(users, return_inverse=True)
+        ii, i_inv = np.unique(items, return_inverse=True)
+        assert got[0] == res.value
+        assert np.array_equal(got[1], uu) and np.array_equal(got[3], ii)
+        assert np.array_equal(got[2], self.per_column_scatter(u_inv, g_u, uu.size))
+        assert np.array_equal(got[4], self.per_column_scatter(i_inv, g_i, ii.size))
+
+    def test_in_batch_rejects_a_single_pair(self):
+        emb = init_embeddings(3, 3, 4, seed=0)
+        fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.2))
+        with pytest.raises(ValueError, match="two or more"):
+            inbatch_batch_grads(emb, [0], [1], fn)
+
+    def test_sampled_grads_match_concatenated_reference(self):
+        rng = np.random.default_rng(43)
+        emb = EmbeddingTable(rng.normal(size=(6, 13)), rng.normal(size=(20, 13)))
+        users = rng.integers(0, 6, size=12)
+        pos = rng.integers(0, 20, size=12)
+        negs = rng.integers(0, 20, size=(12, 5))
+        fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.3))
+        got = sampled_batch_grads(emb, users, pos, negs, fn)
+
+        uu, u_inv = np.unique(users, return_inverse=True)
+        ii, i_inv = np.unique(np.concatenate([pos, negs.ravel()]), return_inverse=True)
+        uu_hat, uu_n, uu_s = model_mod._normalize_rows(emb.user_vecs[uu])
+        ii_hat, ii_n, ii_s = model_mod._normalize_rows(emb.item_vecs[ii])
+        u_hat, p_hat = uu_hat[u_inv], ii_hat[i_inv[:12]]
+        j_hat = ii_hat[i_inv[12:].reshape(12, 5)]
+        res = fn(ScoreBatch(np.sum(u_hat * p_hat, axis=1),
+                            np.einsum("bd,bmd->bm", u_hat, j_hat)))
+        g_uhat = res.grad_pos[:, None] * p_hat + np.einsum("bm,bmd->bd", res.grad_neg, j_hat)
+        g_items = np.concatenate([res.grad_pos[:, None] * u_hat,
+                                  (res.grad_neg[:, :, None] * u_hat[:, None, :]).reshape(60, 13)])
+        user_grads = model_mod._normalize_backward(
+            emb.user_vecs[uu], uu_n, uu_s, self.per_column_scatter(u_inv, g_uhat, uu.size))
+        item_grads = model_mod._normalize_backward(
+            emb.item_vecs[ii], ii_n, ii_s, self.per_column_scatter(i_inv, g_items, ii.size))
+        assert got[0] == res.value
+        assert np.array_equal(got[2], user_grads)
+        assert np.array_equal(got[4], item_grads)
+
+    def test_adam_single_gather_matches_double_gather(self):
+        rng = np.random.default_rng(44)
+        emb = EmbeddingTable(rng.normal(size=(5, 3)), rng.normal(size=(7, 3)))
+        adam = AdamState.for_table(emb)
+        rows = np.array([4, 0, 2])
+        param, m, v = emb.item_vecs.copy(), adam.m_item.copy(), adam.v_item.copy()
+        for step in range(1, 4):
+            grads = rng.normal(size=(3, 3))
+            adam.apply(emb, [], None, rows, grads, 0.01)
+            b1, b2 = adam.beta1, adam.beta2
+            m[rows] = b1 * m[rows] + (1.0 - b1) * grads
+            v[rows] = b2 * v[rows] + (1.0 - b2) * grads * grads
+            m_hat = m[rows] / (1.0 - b1 ** step)
+            v_hat = v[rows] / (1.0 - b2 ** step)
+            param[rows] -= 0.01 * m_hat / (np.sqrt(v_hat) + adam.eps)
+            assert np.array_equal(emb.item_vecs, param)
+            assert np.array_equal(adam.m_item, m) and np.array_equal(adam.v_item, v)
+
+    def test_grouped_negatives_match_per_user_scan(self):
+        ds = planted_clusters(n_users=40, n_items=30, seed=3)
+        users = np.random.default_rng(45).integers(0, 40, size=200)
+        for mode_kwargs in ({}, {"r_noise": 0.5}):
+            fast = SamplerState.create(seed=9, **mode_kwargs)
+            slow = SamplerState.create(seed=9, **mode_kwargs)
+            got = model_mod._gather_negatives(fast, ds, users, 4)
+            expected = np.empty((users.size, 4), dtype=np.int64)
+            for u in np.unique(users):
+                idx = np.flatnonzero(users == u)
+                expected[idx] = sample_negatives(slow, ds, int(u), idx.size * 4).reshape(-1, 4)
+            assert np.array_equal(got, expected)
