@@ -21,7 +21,7 @@ from .evaluate import (default_tau_param, evaluate, noise_sweep, report_as_dict,
                        report_rows, selection_cutoff)
 from .config import (CONFIG_KEYS, ConfigError, ExperimentConfig, _parse_float_list,
                      _parse_int_list, load_config, override_config, config_as_dict)
-from .data import DataFormatError, Dataset, load_dataset, save_dataset
+from .data import DataFormatError, Dataset, atomic_open, load_dataset, save_dataset
 from .dro import estimate_eta, worst_case_weights
 from .model import (CheckpointError, TrainingDivergedError, cosine_score,
                     load_checkpoint, save_checkpoint, train)
@@ -49,7 +49,7 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, timing=None) -> None:
         },
         "timing": timing,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -90,10 +90,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _check_count(flag: str, value: int) -> None:
+    """A count flag below 1 is a usage error, raised before any file is read."""
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
 
 
 def _metric_columns(ks):
@@ -156,11 +162,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.train, args.test)
     ks = _parse_int_list(args.ks)
     if not ks or any(k < 1 for k in ks):
         raise ConfigError("--ks must be positive integers")
+    _check_count("--n-groups", args.n_groups)
+    ckpt = load_checkpoint(args.checkpoint)
+    ds = load_dataset(args.train, args.test)
     report = evaluate(ckpt.emb, ds, ks, n_groups=min(args.n_groups, ds.n_items))
     print(json.dumps(report_as_dict(report), indent=2, sort_keys=True))
     if args.out:
@@ -203,11 +210,13 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_dro_diagnose(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.train, args.test)
     taus = _parse_float_list(args.taus)
     if not taus or any(t <= 0 for t in taus):
         raise ConfigError("--taus must be positive reals")
+    _check_count("--batches", args.batches)
+    _check_count("--n-negatives", args.n_negatives)
+    ckpt = load_checkpoint(args.checkpoint)
+    ds = load_dataset(args.train, args.test)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -241,6 +250,7 @@ def cmd_dro_diagnose(args) -> int:
 
 
 def cmd_fairness_report(args) -> int:
+    _check_count("--n-groups", args.n_groups)
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.train, args.test)
     n_groups = min(args.n_groups, ds.n_items)

@@ -2,13 +2,33 @@
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 
 class DataFormatError(ValueError):
     """Raised when an interaction file or positive-list payload is malformed."""
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing, then rename it over
+    ``path`` when the block exits cleanly (``os.replace``) or remove it when
+    the block raises: ``path`` holds its old content or the whole new one,
+    never part of a write, and no temporary file is left behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _as_sorted_unique(items, *, what: str) -> np.ndarray:

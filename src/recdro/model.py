@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BslForm, LossKind, LossSpec, SamplingMode, TrainConfig
-from .data import Dataset
+from .data import Dataset, atomic_open
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
 from .sampling import SamplerState, sample_negatives
 
@@ -175,25 +175,36 @@ class AdamState:
 #: Columns summed per ``bincount`` call in :func:`_scatter_rows`.
 SCATTER_BLOCK = 8
 
+#: Bytes of one (rows, m, d) block of gathered negatives in
+#: :func:`sampled_batch_grads` (64 rows at m = d = 64), so that a block stays
+#: in cache instead of a (B, m, d) gather passing through memory twice.
+GATHER_CHUNK_BYTES = 2 << 20
 
-def _scatter_rows(inv: np.ndarray, grads: np.ndarray, n_rows: int) -> np.ndarray:
+
+def _scatter_rows(inv: np.ndarray, grads, n_rows: int) -> np.ndarray:
     """Sum gradient rows that share a target row.
 
+    ``grads`` is a (B, d) array, or a pair ``(d, block)`` where
+    ``block(lo, hi)`` returns columns lo:hi as a (hi - lo, B) array, so that
+    a caller can form each block's products just before they are summed.
     One ``bincount`` sums SCATTER_BLOCK columns at once: column c of the
     block goes to bins ``c * n_rows + inv``. Every bin still receives its
     contributions in row order, so the sums match a per-column ``bincount``
     bit for bit, while the index stays SCATTER_BLOCK x B rather than d x B.
     Column-major ``grads`` (a transposed C array) are read without a copy.
     """
-    d = grads.shape[1]
+    if isinstance(grads, np.ndarray):
+        d, block = grads.shape[1], lambda lo, hi: grads[:, lo:hi].T
+    else:
+        d, block = grads
     out = np.empty((n_rows, d))
     index = None
     for lo in range(0, d, SCATTER_BLOCK):
-        block = grads[:, lo:lo + SCATTER_BLOCK].T
-        width = block.shape[0]
+        cols = block(lo, min(lo + SCATTER_BLOCK, d))
+        width = cols.shape[0]
         if index is None or index.size != width * inv.size:
             index = (np.arange(width)[:, None] * n_rows + inv).ravel()
-        sums = np.bincount(index, weights=block.ravel(), minlength=width * n_rows)
+        sums = np.bincount(index, weights=cols.ravel(), minlength=width * n_rows)
         out[:, lo:lo + width] = sums.reshape(width, n_rows).T
     return out
 
@@ -206,11 +217,19 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
     regularization. Rows are normalized once per unique id; hat-space
     gradients are accumulated per unique row before the Jacobian chain (the
     chain is linear in the gradient, so this matches per-occurrence work).
+
+    The negatives' unit rows are gathered in chunks of batch rows of about
+    GATHER_CHUNK_BYTES, once for the scores and once more for the user
+    gradient after the loss; each einsum output element reduces over its own
+    row, so chunking changes no bit. The item hat-gradient products are
+    formed SCATTER_BLOCK columns at a time inside the scatter. Every sum
+    keeps row order, so the result equals the unchunked computation exactly.
     """
     users = np.asarray(users, dtype=np.int64)
     pos_items = np.asarray(pos_items, dtype=np.int64)
     neg_items = np.asarray(neg_items, dtype=np.int64)
     b, m = neg_items.shape
+    d = emb.d
 
     uniq_users, u_inv = np.unique(users, return_inverse=True)
     all_items = np.concatenate([pos_items, neg_items.ravel()])
@@ -224,23 +243,41 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
 
     u_hat = uu_hat[u_inv]
     p_hat = ii_hat[p_inv]
-    j_hat = ii_hat[j_inv]
+
+    rows = max(1, GATHER_CHUNK_BYTES // (m * d * 8))
+    chunks = [(lo, min(lo + rows, b)) for lo in range(0, b, rows)]
+    j_hat = np.empty((min(rows, b), m, d))
+
+    def gathered(lo, hi):
+        # i_inv indexes ii_hat by construction, so no bounds pass is needed
+        return np.take(ii_hat, j_inv[lo:hi], axis=0, out=j_hat[:hi - lo], mode="clip")
 
     pos_scores = np.sum(u_hat * p_hat, axis=1)
-    neg_scores = np.einsum("bd,bmd->bm", u_hat, j_hat)
+    neg_scores = np.empty((b, m))
+    for lo, hi in chunks:
+        np.einsum("bd,bmd->bm", u_hat[lo:hi], gathered(lo, hi), out=neg_scores[lo:hi])
     res = loss_fn(ScoreBatch(pos_scores, neg_scores))
 
-    g_uhat = res.grad_pos[:, None] * p_hat + np.einsum("bm,bmd->bd", res.grad_neg, j_hat)
+    g_uhat = np.empty((b, d))
+    for lo, hi in chunks:
+        np.einsum("bm,bmd->bd", res.grad_neg[lo:hi], gathered(lo, hi), out=g_uhat[lo:hi])
+    g_uhat += res.grad_pos[:, None] * p_hat
     del j_hat
+
     # item hat-gradients, one column per all_items entry (positives, then
-    # negatives), so that _scatter_rows reads their transpose without a copy
-    g_items_t = np.empty((emb.d, b * (m + 1)))
-    np.multiply(u_hat.T, res.grad_pos, out=g_items_t[:, :b])
-    np.multiply(u_hat.T[:, :, None], res.grad_neg,
-                out=g_items_t[:, b:].reshape(emb.d, b, m))
+    # negatives), written one SCATTER_BLOCK of embedding columns at a time
+    u_hat_t = u_hat.T
+    products = np.empty((min(SCATTER_BLOCK, d), b * (m + 1)))
+
+    def item_block(lo, hi):
+        out = products[:hi - lo]
+        np.multiply(u_hat_t[lo:hi], res.grad_pos, out=out[:, :b])
+        np.multiply(u_hat_t[lo:hi, :, None], res.grad_neg,
+                    out=out[:, b:].reshape(hi - lo, b, m))
+        return out
 
     user_hat_grads = _scatter_rows(u_inv, g_uhat, uniq_users.size)
-    item_hat_grads = _scatter_rows(i_inv, g_items_t.T, uniq_items.size)
+    item_hat_grads = _scatter_rows(i_inv, (d, item_block), uniq_items.size)
 
     user_grads = _normalize_backward(uu_raw, uu_norms, uu_shifts, user_hat_grads)
     item_grads = _normalize_backward(ii_raw, ii_norms, ii_shifts, item_hat_grads)
@@ -394,7 +431,10 @@ CHECKPOINT_VERSION = "1"
 
 def save_checkpoint(path, emb: EmbeddingTable, *, epoch: int, seed: int,
                     adam: AdamState | None = None) -> None:
-    """Write a bit-exact snapshot of the table (and optionally Adam state)."""
+    """Write a bit-exact snapshot of the table (and optionally Adam state).
+
+    The file is replaced atomically: a failed write leaves the previous one.
+    """
     payload = {
         "version": np.array(CHECKPOINT_VERSION),
         "user_vecs": emb.user_vecs,
@@ -407,7 +447,7 @@ def save_checkpoint(path, emb: EmbeddingTable, *, epoch: int, seed: int,
                        m_item=adam.m_item, v_item=adam.v_item,
                        adam_step=np.array(adam.step),
                        adam_hyper=np.array([adam.beta1, adam.beta2, adam.eps]))
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, **payload)
 
 

@@ -37,6 +37,10 @@ class SamplerState:
             raise ValueError("popularity_weights must be given exactly in popularity mode")
         if has_weights:
             w = np.asarray(self.popularity_weights, dtype=np.float64)
+            with np.errstate(over="ignore"):
+                total = w.sum()
+            if not (np.all(np.isfinite(w)) and math.isfinite(total)):
+                raise ValueError("popularity weights and their total must be finite")
             if np.any(w < 0) or not np.any(w > 0):
                 raise ValueError("popularity weights must be nonnegative and not all zero")
             self.popularity_weights = w
@@ -66,6 +70,13 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
     weight ``st.r_noise`` (see :class:`SamplerState`); with ``r_noise = 0``
     no training positive is ever returned. A negative is drawn as its rank
     among the user's non-positive items, so no complement is materialized.
+
+    A popularity draw is ``Generator.choice(..., replace=True, p=...)``'s
+    algorithm written out (normalized cumulative weights searched with
+    ``rng.random``): the same RNG calls and the same bits, without
+    ``choice``'s per-call checks of ``p``, whose conditions
+    :class:`SamplerState` and the finiteness check below ensure. The test
+    oracle still calls ``choice`` and pins the two together.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -78,8 +89,6 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
     if st.mode is NegSampler.UNIFORM:
         w_pos = float(pos.size)
         w_neg = float(n_neg)
-        pos_p = None
-        neg_p = None
     else:
         weights = st.popularity_weights
         if weights.shape[0] != ds.n_items:
@@ -88,8 +97,8 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
         neg_w = np.delete(weights, pos)
         w_pos = float(pos_w.sum())
         w_neg = float(neg_w.sum())
-        pos_p = pos_w / w_pos if w_pos > 0 else None
-        neg_p = neg_w / w_neg if w_neg > 0 else None
+    if not (math.isfinite(w_pos) and math.isfinite(w_neg)):
+        raise ValueError(f"user {user} has a non-finite total sampling weight")
 
     denom = r * w_pos + w_neg
     if denom <= 0:
@@ -103,19 +112,27 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
         if st.mode is NegSampler.UNIFORM:
             out[take_pos] = pos[st.rng.integers(0, pos.size, size=k)]
         else:
-            out[take_pos] = st.rng.choice(pos, size=k, replace=True, p=pos_p)
+            out[take_pos] = pos[_popularity_draw(st.rng, pos_w / w_pos, k)]
     if k < n:
-        if neg_p is None and st.mode is NegSampler.POPULARITY:
-            raise ValueError(f"user {user} has zero-weight negatives")
         if st.mode is NegSampler.UNIFORM:
             ranks = st.rng.integers(0, n_neg, size=n - k)
         else:
-            ranks = st.rng.choice(n_neg, size=n - k, replace=True, p=neg_p)
+            if w_neg <= 0:
+                raise ValueError(f"user {user} has zero-weight negatives")
+            # np.delete returned a fresh array, so p is formed in place
+            ranks = _popularity_draw(st.rng, np.divide(neg_w, w_neg, out=neg_w), n - k)
         # pos[j] - j non-positive items precede positive j, so every positive
         # at or below that count shifts the rank-th negative up by one
         out[~take_pos] = ranks + np.searchsorted(pos - np.arange(pos.size), ranks,
                                                  side="right")
     return out
+
+
+def _popularity_draw(rng: np.random.Generator, p: np.ndarray, k: int) -> np.ndarray:
+    """``rng.choice(p.size, size=k, replace=True, p=p)``, overwriting ``p``."""
+    cdf = np.cumsum(p, out=p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(k), side="right")
 
 
 def positive_fraction(r_noise: float, n_pos: int, n_neg: int) -> float:

@@ -116,6 +116,23 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         assert time.perf_counter() - started < 60.0
 
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        write_fixture(tmp_path)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def savez_fails_midway(fh, **arrays):
+            fh.write(b"PK partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_fails_midway)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        for name in ("best.npz", "last.npz", "epochs.csv"):
+            assert (out / name).read_bytes() == before[name]
+
     def test_seed_flag_changes_run(self, tmp_path):
         write_fixture(tmp_path)
         cfg = write_config(tmp_path)
@@ -445,6 +462,23 @@ class TestListFlagParsing:
                      "--train", str(tmp_path / "train.txt"),
                      "--test", str(tmp_path / "test.txt"), "--ks", ks]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("dro-diagnose", "--n-negatives"), ("dro-diagnose", "--batches"),
+    ("evaluate", "--n-groups"), ("fairness-report", "--n-groups"),
+])
+def test_count_flag_below_one_exits_2_before_reading_files(tmp_path, capsys,
+                                                           command, flag):
+    # none of the input files exist, so reading any of them would exit 1
+    argv = [command, "--checkpoint", str(tmp_path / "missing.npz"),
+            "--train", str(tmp_path / "train.txt"), "--test", str(tmp_path / "test.txt"),
+            flag, "0"]
+    if command == "dro-diagnose":
+        argv += ["--out", str(tmp_path / "diag")]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "diag").exists()
 
 
 def test_noise_sweep_applies_config_pos_noise_ratio(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import recdro.model as model_mod
 from recdro.config import (BslForm, LossKind, LossSpec, SamplingMode, TrainConfig)
 from recdro.data import Dataset
-from recdro.losses import LossResult, ScoreBatch, loss_fn_from_spec
+from recdro.losses import LossResult, ScoreBatch, bsl_loss, loss_fn_from_spec
 from recdro.model import (AdamState, CheckpointError, EmbeddingTable,
                           TrainingDivergedError, cosine_score, inbatch_batch_grads,
                           init_embeddings, load_checkpoint, sampled_batch_grads,
@@ -527,26 +527,45 @@ class TestFastPathsBitIdentical:
         with pytest.raises(ValueError, match="two or more"):
             inbatch_batch_grads(emb, [0], [1], fn)
 
-    def test_sampled_grads_match_concatenated_reference(self):
+    # b rows of m negatives over 4m items, d columns; chunk_rows=None keeps
+    # GATHER_CHUNK_BYTES, whose chunks are 64 rows at m = d = 64
+    @pytest.mark.parametrize("b, m, d, n_users, chunk_rows, loss", [
+        pytest.param(12, 5, 13, 6, None, "sl", id="base"),  # one chunk
+        pytest.param(150, 64, 64, 40, None, "sl", id="3x64"),  # 64 + 64 + 22 rows
+        pytest.param(150, 5, 13, 40, 64, "sl", id="d13"),  # 13 = 8 + 5 columns
+        pytest.param(150, 5, 13, 3, 64, "sl", id="repeat"),  # ~50 rows per user
+        pytest.param(150, 5, 13, 7, 64, "bsl", id="bsl"),  # canonical, grouped
+        pytest.param(150, 5, 13, 7, 1, "sl", id="rows1"),
+    ])
+    def test_sampled_grads_match_concatenated_reference(self, monkeypatch, b, m, d,
+                                                        n_users, chunk_rows, loss):
+        if chunk_rows is not None:
+            monkeypatch.setattr(model_mod, "GATHER_CHUNK_BYTES", chunk_rows * m * d * 8)
         rng = np.random.default_rng(43)
-        emb = EmbeddingTable(rng.normal(size=(6, 13)), rng.normal(size=(20, 13)))
-        users = rng.integers(0, 6, size=12)
-        pos = rng.integers(0, 20, size=12)
-        negs = rng.integers(0, 20, size=(12, 5))
-        fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.3))
+        emb = EmbeddingTable(rng.normal(size=(n_users, d)), rng.normal(size=(4 * m, d)))
+        users = rng.integers(0, n_users, size=b)
+        pos = rng.integers(0, 4 * m, size=b)
+        negs = rng.integers(0, 4 * m, size=(b, m))
+        if loss == "bsl":
+            users = np.sort(users)
+            sizes = np.unique(users, return_counts=True)[1]
+            fn = lambda batch: bsl_loss(batch, 0.4, 0.2, BslForm.CANONICAL,  # noqa: E731
+                                        pos_group_sizes=sizes)
+        else:
+            fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.3))
         got = sampled_batch_grads(emb, users, pos, negs, fn)
 
         uu, u_inv = np.unique(users, return_inverse=True)
         ii, i_inv = np.unique(np.concatenate([pos, negs.ravel()]), return_inverse=True)
         uu_hat, uu_n, uu_s = model_mod._normalize_rows(emb.user_vecs[uu])
         ii_hat, ii_n, ii_s = model_mod._normalize_rows(emb.item_vecs[ii])
-        u_hat, p_hat = uu_hat[u_inv], ii_hat[i_inv[:12]]
-        j_hat = ii_hat[i_inv[12:].reshape(12, 5)]
+        u_hat, p_hat = uu_hat[u_inv], ii_hat[i_inv[:b]]
+        j_hat = ii_hat[i_inv[b:].reshape(b, m)]
         res = fn(ScoreBatch(np.sum(u_hat * p_hat, axis=1),
                             np.einsum("bd,bmd->bm", u_hat, j_hat)))
         g_uhat = res.grad_pos[:, None] * p_hat + np.einsum("bm,bmd->bd", res.grad_neg, j_hat)
         g_items = np.concatenate([res.grad_pos[:, None] * u_hat,
-                                  (res.grad_neg[:, :, None] * u_hat[:, None, :]).reshape(60, 13)])
+                                  (res.grad_neg[:, :, None] * u_hat[:, None, :]).reshape(b * m, d)])
         user_grads = model_mod._normalize_backward(
             emb.user_vecs[uu], uu_n, uu_s, self.per_column_scatter(u_inv, g_uhat, uu.size))
         item_grads = model_mod._normalize_backward(

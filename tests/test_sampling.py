@@ -81,6 +81,23 @@ class TestSampleNegatives:
             SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
                                 popularity_weights=np.zeros(3))
 
+    @pytest.mark.parametrize("weights", [
+        [1, np.nan, 1, 1, 1], [1, np.inf, 1, 1, 1], [1e308, 1e308, 1, 1, 1],
+    ])
+    def test_non_finite_popularity_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
+                                popularity_weights=weights)
+
+    def test_non_finite_user_weight_is_error(self):
+        ds = Dataset.from_positive_lists([[1, 2], [3]], [[], []], n_items=5)
+        st = SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
+                                 popularity_weights=np.ones(5))
+        st.popularity_weights[1] = np.nan  # corrupted after validation
+        for user in (0, 1):  # item 1 is a positive of user 0, a negative of user 1
+            with pytest.raises(ValueError, match="non-finite"):
+                sample_negatives(st, ds, user, 8)
+
     def test_exponent_weights(self):
         w = popularity_weights_from_counts(np.array([1, 4, 9]), exponent=0.5)
         assert np.allclose(w, [1, 2, 3])
@@ -119,17 +136,27 @@ class TestSampleNegatives:
                 out[~take_pos] = st.rng.choice(neg, size=n - k, replace=True, p=neg_p)
         return out
 
+    @staticmethod
+    def oracle_catalog(n_items):
+        """Users 0 and 1 hold the catalog's first and last item, user 3 is one
+        positive short of the whole catalog; popularity weights are linear on
+        the small catalog and Zipf counts^0.75 on the large one."""
+        if n_items == 40:
+            lists = [[0, 1, 7, 39], [0, 20, 38, 39], [5, 6, 7, 8, 30], list(range(1, 40))]
+            return lists, popularity_weights_from_counts(np.arange(1, n_items + 1))
+        rng = np.random.default_rng(n_items)
+        lists = [[0, 1, 7, n_items - 1], [0, n_items // 2, n_items - 2, n_items - 1],
+                 rng.choice(n_items, size=n_items // 10, replace=False),
+                 list(range(1, n_items))]
+        return lists, popularity_weights_from_counts(rng.zipf(1.5, size=n_items), 0.75)
+
+    @pytest.mark.parametrize("n_items", [40, 3000])
     @pytest.mark.parametrize("mode", list(NegSampler))
     @pytest.mark.parametrize("r_noise", [0.0, 0.1, 3.0])
-    def test_matches_materialized_complement_oracle(self, mode, r_noise):
-        n_items = 40
-        # users 0 and 1 hold the catalog's first and last item, user 3 is
-        # one positive short of the whole catalog
-        ds = Dataset.from_positive_lists(
-            [[0, 1, 7, 39], [0, 20, 38, 39], [5, 6, 7, 8, 30], list(range(1, 40))],
-            [[], [], [], []], n_items=n_items)
-        weights = (popularity_weights_from_counts(np.arange(1, n_items + 1))
-                   if mode is NegSampler.POPULARITY else None)
+    def test_matches_materialized_complement_oracle(self, mode, r_noise, n_items):
+        lists, popularity = self.oracle_catalog(n_items)
+        ds = Dataset.from_positive_lists(lists, [[]] * len(lists), n_items=n_items)
+        weights = popularity if mode is NegSampler.POPULARITY else None
         fast = SamplerState.create(seed=11, mode=mode, r_noise=r_noise,
                                    popularity_weights=weights)
         slow = SamplerState.create(seed=11, mode=mode, r_noise=r_noise,
@@ -138,6 +165,7 @@ class TestSampleNegatives:
             for n in (1, 64, 500):
                 expect = self.materialized_reference(slow, ds, user, n)
                 assert np.array_equal(sample_negatives(fast, ds, user, n), expect)
+                assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
 class TestContaminatePositives:
