@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 
@@ -95,8 +96,8 @@ class TrainConfig:
             raise ConfigError("n_negatives must be >= 1 in negative_sampling mode")
         if self.sampling_mode is SamplingMode.IN_BATCH and self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 in in_batch mode")
-        if self.r_noise < 0:
-            raise ConfigError("r_noise must be >= 0")
+        if not 0 <= self.r_noise < math.inf:
+            raise ConfigError(f"r_noise must be a finite number >= 0, got {self.r_noise}")
         if not 0 <= self.pos_noise_ratio < 1:
             raise ConfigError("pos_noise_ratio must lie in [0, 1)")
 

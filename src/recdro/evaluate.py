@@ -11,11 +11,13 @@ from .config import (DEFAULT_TAU_GRID, ConfigError, LossKind, LossSpec,
                      TrainConfig, spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
-from .model import EmbeddingTable, _normalize_rows, cosine_score, train
+from .model import (EmbeddingTable, _normalize_rows, cosine_score,
+                    score_block_bounds, train)
 # the per-user scorer evaluate() reproduces; bound here so that profilers can
 # patch it by name beside rank_items
 from .model import score_all_items  # noqa: F401
-from .sampling import SamplerState, prepare_dataset, sample_negatives
+from .sampling import (SamplerState, complement_ids, prepare_dataset,
+                       sample_negatives)
 
 #: Non-training items per evaluated user pooled into ``neg_score_variance``.
 VARIANCE_SAMPLES_PER_USER = 100
@@ -85,10 +87,22 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     ``VARIANCE_SAMPLES_PER_USER`` non-training items per evaluated user, drawn
     uniformly from a stream seeded with 0, and reports the population
     variance of their scores.
+
+    Users are scored a block at a time over the fixed partition of
+    :func:`~recdro.model.score_block_bounds`: one GEMM of the block's unit
+    user rows against the unit item table, computed once for each block that
+    holds an evaluated user. The scores are that GEMM's bits, which are
+    exactly what :func:`~recdro.model.score_all_items` returns. Only the
+    split's ``ds.n_items`` items are candidates: rows of a larger item table
+    past the catalog are never ranked. A table with fewer users or items
+    than ``ds`` is a ``ValueError``.
     """
     ks = sorted(int(k) for k in ks)
     if not ks or ks[0] < 1:
         raise ValueError("ks must be nonempty positive integers")
+    if emb.n_users < ds.n_users or emb.n_items < ds.n_items:
+        raise ValueError(f"embedding table of {emb.n_users} users x {emb.n_items} items "
+                         f"is smaller than the dataset's {ds.n_users} x {ds.n_items}")
     kmax = ks[-1]
     group_cutoff = selection_cutoff(ks)
     groups = popularity_groups(ds, n_groups)
@@ -103,17 +117,30 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     recall_acc = {k: [] for k in ks}
     ndcg_acc = {k: [] for k in ks}
     group_acc = np.zeros(n_groups)
-    pooled_scores = []
 
-    # one gemv per user on tables normalized once: score_all_items' bits
     u_hat, _, _ = _normalize_rows(emb.user_vecs)
     i_hat, _, _ = _normalize_rows(emb.item_vecs)
+    # one block buffer and one variance pool per call: a block per GEMM and
+    # an array per user fragment the heap, and the training batches between
+    # evaluations then page-fault several times as often
+    lo, hi = score_block_bounds(0, emb.n_users, emb.n_items)
+    block_buf = np.empty((hi - lo, emb.n_items))
+    pooled = np.empty(len(eval_users) * VARIANCE_SAMPLES_PER_USER)
+    n_pooled = 0
+    block_lo = -1
 
     for u in eval_users:
-        scores = i_hat @ u_hat[u]
-        test_items = ds.test_pos[u]
-        topk = _top_k(scores, ds.train_pos[u], kmax)
-        is_hit = np.isin(topk, test_items)
+        lo, hi = score_block_bounds(u, emb.n_users, emb.n_items)
+        if lo != block_lo:
+            # score_all_items' product, cut to the split's catalog
+            block = np.matmul(u_hat[lo:hi], i_hat.T, out=block_buf[:hi - lo])
+            block_lo, block = lo, block[:, :ds.n_items]
+        scores = block[u - lo]
+        train_items, test_items = ds.train_pos[u], ds.test_pos[u]
+        topk = _top_k(scores, train_items, kmax)
+        # test_items is sorted: a hit is where searchsorted lands on an equal id
+        at = np.searchsorted(test_items, topk)
+        is_hit = test_items[np.minimum(at, test_items.size - 1)] == topk
 
         n_test = test_items.size
         for k in ks:
@@ -129,16 +156,18 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
         for r in hit_ranks:
             group_acc[groups[topk[r]]] += discounts[r] / idcg_g
 
-        candidate = np.ones(ds.n_items, dtype=bool)
-        candidate[ds.train_pos[u]] = False
-        neg_pool = np.flatnonzero(candidate)
-        take = min(VARIANCE_SAMPLES_PER_USER, neg_pool.size)
+        n_neg = ds.n_items - train_items.size
+        take = min(VARIANCE_SAMPLES_PER_USER, n_neg)
         if take:
-            sampled = rng.choice(neg_pool, size=take, replace=False)
-            pooled_scores.append(scores[sampled])
+            # choice() over a count makes the RNG calls of choice() over the
+            # non-training ids themselves; their ranks map back to the ids
+            ranks = rng.choice(n_neg, size=take, replace=False)
+            np.take(scores, complement_ids(train_items, ranks),
+                    out=pooled[n_pooled:n_pooled + take])
+            n_pooled += take
 
     n_eval = len(eval_users)
-    pooled = np.concatenate(pooled_scores) if pooled_scores else np.empty(0)
+    pooled = pooled[:n_pooled]
     return EvalReport(
         recall={k: float(np.mean(recall_acc[k])) for k in ks},
         ndcg={k: float(np.mean(ndcg_acc[k])) for k in ks},
@@ -278,8 +307,8 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     """
     r_axis, n_axis = list(r_values), list(n_negatives_values)
     p_axis = list(pos_noise_values)
-    if not all(r >= 0 for r in r_axis):
-        raise ConfigError("r_noise values must be >= 0")
+    if not all(0 <= r < math.inf for r in r_axis):
+        raise ConfigError("r_noise values must be finite numbers >= 0")
     if not all(n >= 1 for n in n_axis):
         raise ConfigError("n_negatives values must be >= 1")
     if not all(0 <= p < 1 for p in p_axis):

@@ -256,7 +256,7 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
         grad_pos[rows] = -pos_w / n_groups
         grad_neg[rows] = neg_w.reshape(negs.shape) / n_groups
         start += size
-    return LossResult(total / n_groups, grad_pos, grad_neg)
+    return LossResult(float(total / n_groups), grad_pos, grad_neg)
 
 
 def loss_fn_from_spec(spec: LossSpec):

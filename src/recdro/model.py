@@ -115,18 +115,41 @@ def cosine_score(emb: EmbeddingTable, user: int, items) -> tuple[np.ndarray, Cos
     return scores, ctx
 
 
+#: Bytes of one (rows, n_items) block of cosine scores: users are scored
+#: ``rows = max(1, SCORE_BLOCK_BYTES // (8 * n_items))`` at a time.
+SCORE_BLOCK_BYTES = 2 << 20
+
+
+def score_block_bounds(user: int, n_users: int, n_items: int) -> tuple[int, int]:
+    """The rows ``lo:hi`` of the fixed user block that holds ``user``.
+
+    The partition depends only on the table's shape, so every caller scores
+    a user inside the same block product.
+    """
+    rows = max(1, SCORE_BLOCK_BYTES // (8 * n_items))
+    lo = user - user % rows
+    return lo, min(lo + rows, n_users)
+
+
 def score_all_items(emb: EmbeddingTable, user: int,
                     inner_product: bool = False) -> np.ndarray:
     """Scores for a user against every item; no gradient state.
 
-    Cosine by default; ``inner_product=True`` skips the normalization (a
-    non-default test-time alternative, never used during training here).
+    Cosine by default: the user's row of the GEMM ``u_hat[lo:hi] @ i_hat.T``
+    over the user's fixed block (:func:`score_block_bounds`), the very
+    product ``evaluate`` ranks. A GEMM's last bits depend on the block's
+    shape, so this matches ``evaluate`` bit for bit where a matrix-vector
+    product per user may differ in the last place. ``inner_product=True``
+    skips the normalization (a non-default test-time alternative, never used
+    during training here).
     """
     if inner_product:
         return emb.item_vecs @ emb.user_vecs[user]
-    u_hat, _, _ = _normalize_rows(emb.user_vecs[user][None, :])
+    lo, hi = score_block_bounds(user, emb.n_users, emb.n_items)
+    u_hat, _, _ = _normalize_rows(emb.user_vecs[lo:hi])
     i_hat, _, _ = _normalize_rows(emb.item_vecs)
-    return i_hat @ u_hat[0]
+    # a copy, so that a kept row does not hold the whole block alive
+    return (u_hat @ i_hat.T)[user - lo].copy()
 
 
 @dataclass

@@ -30,8 +30,8 @@ class SamplerState:
     popularity_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.r_noise < 0:
-            raise ValueError("r_noise must be >= 0")
+        if not 0 <= self.r_noise < math.inf:
+            raise ValueError(f"r_noise must be a finite number >= 0, got {self.r_noise}")
         has_weights = self.popularity_weights is not None
         if (self.mode is NegSampler.POPULARITY) != has_weights:
             raise ValueError("popularity_weights must be given exactly in popularity mode")
@@ -121,11 +121,17 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
                 raise ValueError(f"user {user} has zero-weight negatives")
             # np.delete returned a fresh array, so p is formed in place
             ranks = _popularity_draw(st.rng, np.divide(neg_w, w_neg, out=neg_w), n - k)
-        # pos[j] - j non-positive items precede positive j, so every positive
-        # at or below that count shifts the rank-th negative up by one
-        out[~take_pos] = ranks + np.searchsorted(pos - np.arange(pos.size), ranks,
-                                                 side="right")
+        out[~take_pos] = complement_ids(pos, ranks)
     return out
+
+
+def complement_ids(pos: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Ids of the items at ``ranks`` among those not in the sorted ``pos``.
+
+    ``pos[j] - j`` non-positive items precede positive j, so every positive
+    at or below that count shifts the rank-th negative up by one.
+    """
+    return ranks + np.searchsorted(pos - np.arange(pos.size), ranks, side="right")
 
 
 def _popularity_draw(rng: np.random.Generator, p: np.ndarray, k: int) -> np.ndarray:

@@ -492,3 +492,37 @@ def test_noise_sweep_applies_config_pos_noise_ratio(tmp_path):
                      "--r-noise-values", "0"]) == 0
         csvs[ratio] = (out / "sweep.csv").read_bytes()
     assert csvs["0.4"] != csvs["0.0"]
+
+
+def test_canonical_bsl_epochs_csv_mean_loss_is_a_number(tmp_path):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, loss="bsl", bsl_form="canonical", epochs="3",
+                       eval_every="0")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_rows(out / "epochs.csv")[1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(row[1])) for row in rows)
+
+
+@pytest.mark.parametrize("command, argv, value", [
+    ("train", [], "inf"), ("train", [], "nan"), ("train", ["--r-noise", "inf"], "0"),
+    ("noise-sweep", ["--r-noise-values", "0,inf"], "0"),
+    ("noise-sweep", ["--r-noise-values", "nan"], "0"),
+    ("noise-sweep", ["--n-negatives-values", "8"], "inf"),
+])
+def test_non_finite_r_noise_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                    command, argv, value):
+    # the package re-exports a function named evaluate over the module
+    evaluate_module = importlib.import_module("recdro.evaluate")
+    cli_module = importlib.import_module("recdro.cli")
+    trained = []
+    for module in (evaluate_module, cli_module):
+        monkeypatch.setattr(module, "train", lambda *args, **kwargs: trained.append(args))
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, tau_grid="0.2", r_noise=value)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 2
+    assert "r_noise" in capsys.readouterr().err
+    assert trained == []
+    assert not out.exists() or not any(out.iterdir())

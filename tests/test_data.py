@@ -162,6 +162,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tau"):
             build_config(parse_config_text("tau = -0.5"))
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "-1"])
+    def test_r_noise_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigError, match="r_noise"):
+            build_config(parse_config_text(f"r_noise = {value}"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no_such.cfg"):
             load_config(tmp_path / "no_such.cfg")

@@ -5,16 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from recdro.config import LossKind, LossSpec, TrainConfig
+from recdro.config import ConfigError, LossKind, LossSpec, TrainConfig
 from recdro.data import Dataset
 from recdro.evaluate import (evaluate, grid_search_train, noise_sweep,
                              rank_items, report_as_dict, report_rows)
-from recdro.model import EmbeddingTable, score_all_items
-from recdro.sampling import contaminate_positives
+from recdro.model import (EmbeddingTable, _normalize_rows, score_all_items,
+                          score_block_bounds)
+from recdro.sampling import complement_ids, contaminate_positives
 from recdro.synthetic import planted_clusters, random_interactions
 
 # the package re-exports a function named evaluate over the module
 evaluate_module = importlib.import_module("recdro.evaluate")
+model_module = importlib.import_module("recdro.model")
 
 
 def brute_force_metrics(emb, ds, ks):
@@ -196,6 +198,136 @@ class TestTopKBitIdentical:
             assert np.array_equal(scores, score_all_items(emb, u))
 
 
+class TestScorePartition:
+    """evaluate scores users in GEMM blocks of a fixed partition, exactly."""
+
+    N_USERS, N_ITEMS = 23, 300
+    # at 4 rows a block, block 2 (users 8-11) holds no user with test items
+    NO_TEST = range(8, 12)
+
+    def fixture(self):
+        base = random_interactions(self.N_USERS, self.N_ITEMS, per_user=9, seed=21,
+                                   test_fraction=0.4)
+        test = [[] if u in self.NO_TEST else t for u, t in enumerate(base.test_pos)]
+        ds = Dataset.from_positive_lists(base.train_pos, test, n_items=self.N_ITEMS)
+        assert [u for u in range(ds.n_users) if not ds.test_pos[u].size] == list(self.NO_TEST)
+        return ds, embedding_for(ds, d=16, seed=21)
+
+    @staticmethod
+    def set_rows(monkeypatch, rows, n_items):
+        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", rows * 8 * n_items)
+
+    @staticmethod
+    def old_variance(emb, ds):
+        """The variance draw as a mask of candidates and choice() over them."""
+        rng = np.random.default_rng(0)
+        pooled = []
+        for u in range(ds.n_users):
+            if not ds.test_pos[u].size:
+                continue
+            candidate = np.ones(ds.n_items, dtype=bool)
+            candidate[ds.train_pos[u]] = False
+            pool = np.flatnonzero(candidate)
+            take = min(evaluate_module.VARIANCE_SAMPLES_PER_USER, pool.size)
+            if take:
+                sampled = rng.choice(pool, size=take, replace=False)
+                pooled.append(score_all_items(emb, u)[sampled])
+        return float(np.var(np.concatenate(pooled)))
+
+    @pytest.mark.parametrize("rows", [1, 4, 7, 23, 64])
+    def test_blocks_are_fixed_by_the_table_shape(self, monkeypatch, rows):
+        self.set_rows(monkeypatch, rows, self.N_ITEMS)
+        bounds = [score_block_bounds(u, self.N_USERS, self.N_ITEMS)
+                  for u in range(self.N_USERS)]
+        starts = sorted({lo for lo, _ in bounds})
+        assert starts == list(range(0, self.N_USERS, rows))
+        for u, (lo, hi) in enumerate(bounds):
+            assert lo <= u < hi == min(lo + rows, self.N_USERS)
+
+    def test_byte_budget_below_one_row_gives_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", 1)
+        assert [score_block_bounds(u, 5, 300) for u in range(5)] == [
+            (u, u + 1) for u in range(5)]
+
+    @pytest.mark.parametrize("rows", [1, 4, 7, 23, 64])
+    def test_ranked_scores_are_rows_of_the_block_gemm(self, monkeypatch, rows):
+        ds, emb = self.fixture()
+        self.set_rows(monkeypatch, rows, ds.n_items)
+        seen = []
+        real = evaluate_module._top_k
+        monkeypatch.setattr(evaluate_module, "_top_k",
+                            lambda scores, exclude, k: seen.append(scores.copy())
+                            or real(scores, exclude, k))
+        evaluate(emb, ds, [5, 20], n_groups=3)
+        eval_users = [u for u in range(ds.n_users) if ds.test_pos[u].size]
+        assert len(seen) == len(eval_users)
+        u_hat, _, _ = _normalize_rows(emb.user_vecs)
+        i_hat, _, _ = _normalize_rows(emb.item_vecs)
+        for u, scores in zip(eval_users, seen):
+            lo, hi = score_block_bounds(u, ds.n_users, ds.n_items)
+            assert np.array_equal(scores, score_all_items(emb, u))
+            assert np.array_equal(scores, (u_hat[lo:hi] @ i_hat.T)[u - lo])
+
+    @pytest.mark.parametrize("rows", [1, 4, 7, 23])
+    def test_metrics_and_variance_match_the_oracles(self, monkeypatch, rows):
+        ds, emb = self.fixture()
+        self.set_rows(monkeypatch, rows, ds.n_items)
+        ks = [1, 5, 20]
+        report = evaluate(emb, ds, ks, n_groups=4)
+        recall, ndcg = brute_force_metrics(emb, ds, ks)
+        assert report.recall == recall
+        assert report.ndcg == ndcg
+        assert report.neg_score_variance == self.old_variance(emb, ds)
+
+    def test_rank_mapped_draw_equals_choice_over_the_candidates(self):
+        rng = np.random.default_rng(22)
+        for trial in range(300):
+            n_items = int(rng.integers(1, 400))
+            n_pos = int(rng.integers(0, n_items))
+            pos = np.sort(rng.choice(n_items, size=n_pos, replace=False))
+            if trial % 3 == 0:  # hold the first and the last item
+                pos = np.union1d(pos, [0, n_items - 1])
+            pool = np.setdiff1d(np.arange(n_items), pos)
+            take = min(evaluate_module.VARIANCE_SAMPLES_PER_USER, pool.size)
+            if not take:
+                continue
+            old = np.random.default_rng(trial).choice(pool, size=take, replace=False)
+            ranks = np.random.default_rng(trial).choice(pool.size, size=take, replace=False)
+            assert np.array_equal(complement_ids(pos, ranks), old)
+
+    def test_table_rows_past_the_catalog_are_not_candidates(self):
+        ds = random_interactions(12, 45, per_user=8, seed=23, test_fraction=0.4)
+        rng = np.random.default_rng(23)
+        d = 6
+        # users near e0, two extra items on e0: they top every user's ranking
+        users = np.zeros((ds.n_users + 3, d))
+        users[:, 0] = 1.0
+        users += 0.01 * rng.normal(size=users.shape)
+        extra = np.zeros((2, d))
+        extra[:, 0] = [1.0, 2.0]
+        emb = EmbeddingTable(users, np.vstack([rng.normal(size=(ds.n_items, d)), extra]))
+        for u in range(ds.n_users):
+            scores = score_all_items(emb, u)
+            assert scores[ds.n_items:].min() > scores[:ds.n_items].max()
+        ks = [1, 5, 20]
+        report = evaluate(emb, ds, ks, n_groups=4)
+        recall, ndcg = brute_force_metrics(emb, ds, ks)
+        assert report.recall == recall
+        assert report.ndcg == ndcg
+        assert report.recall[1] > 0
+
+    @pytest.mark.parametrize("users, items", [(-1, 0), (0, -1), (-1, -1)])
+    def test_table_smaller_than_the_dataset_is_error(self, users, items):
+        ds = random_interactions(12, 45, per_user=8, seed=24, test_fraction=0.4)
+        rng = np.random.default_rng(24)
+        emb = EmbeddingTable(rng.normal(size=(ds.n_users + users, 4)),
+                             rng.normal(size=(ds.n_items + items, 4)))
+        message = (f"{ds.n_users + users} users x {ds.n_items + items} items .* "
+                   f"{ds.n_users} x {ds.n_items}")
+        with pytest.raises(ValueError, match=message):
+            evaluate(emb, ds, [20], n_groups=2)
+
+
 class TestNoiseSweep:
     def fixture(self):
         return planted_clusters(n_users=60, n_items=40, seed=9)
@@ -245,6 +377,16 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             noise_sweep(self.fixture(), self.cfg(),
                         LossSpec(kind=LossKind.SL), [-0.5])
+
+    @pytest.mark.parametrize("level", [math.inf, math.nan])
+    def test_non_finite_levels_rejected_before_training(self, monkeypatch, level):
+        trained = []
+        monkeypatch.setattr(evaluate_module, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(ConfigError, match="finite"):
+            noise_sweep(self.fixture(), self.cfg(), LossSpec(kind=LossKind.SL),
+                        [0.0, level])
+        assert trained == []
 
     def test_config_pos_noise_ratio_contaminates_the_split(self):
         ds = self.fixture()

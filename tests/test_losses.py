@@ -360,3 +360,8 @@ class TestSharedExpBitIdentical:
             start += size
         self.assert_same(bsl_loss(b, tau_pos, tau_neg, BslForm.CANONICAL, pos_group_sizes=sizes),
                          total / len(groups), grad_pos, grad_neg)
+
+    @pytest.mark.parametrize("form", list(BslForm))
+    def test_bsl_value_is_a_python_float(self, form):
+        b = self.batch(4)
+        assert type(bsl_loss(b, 0.3, 0.08, form).value) is float

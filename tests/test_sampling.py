@@ -89,6 +89,11 @@ class TestSampleNegatives:
             SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
                                 popularity_weights=weights)
 
+    @pytest.mark.parametrize("r_noise", [math.inf, math.nan, -0.5])
+    def test_r_noise_outside_finite_nonnegative_rejected(self, r_noise):
+        with pytest.raises(ValueError, match="r_noise"):
+            SamplerState.create(seed=0, r_noise=r_noise)
+
     def test_non_finite_user_weight_is_error(self):
         ds = Dataset.from_positive_lists([[1, 2], [3]], [[], []], n_items=5)
         st = SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
