@@ -49,8 +49,12 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, timing=None) -> None:
         },
         "timing": timing,
     }
-    with atomic_open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(out_dir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, obj) -> None:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -109,12 +113,12 @@ def _metric_columns(ks):
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    # a split that fails to load or prepare leaves no output behind
+    ds, train_cfg = prepare_dataset(_load_split(cfg), cfg.train)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _check_resume(out_dir, cfg)
     _write_manifest(out_dir, cfg)
-
-    ds = prepare_dataset(_load_split(cfg), cfg.train)
 
     ks = cfg.eval_ks
     best = {"ndcg": -1.0, "epoch": -1}
@@ -140,7 +144,7 @@ def cmd_train(args) -> int:
         return None
 
     started = time.perf_counter()
-    emb, log = train(ds, cfg.train, cfg.loss, epoch_callback=callback)
+    emb, log = train(ds, train_cfg, cfg.loss, epoch_callback=callback)
     wall = time.perf_counter() - started
 
     save_checkpoint(out_dir / "last.npz", emb,
@@ -177,15 +181,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     cfg = _config_from_args(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ds = _load_split(cfg)
     r_values = _parse_float_list(args.r_noise_values or "")
     n_values = _parse_int_list(args.n_negatives_values or "")
     p_values = _parse_float_list(args.pos_noise_values or "")
     if not (r_values or n_values or p_values):
         raise ConfigError("empty sweep: give at least one of --r-noise-values, "
                           "--n-negatives-values, --pos-noise-values")
+    ds = _load_split(cfg)
     sweep = noise_sweep(ds, cfg.train, cfg.loss, r_values, tau_grid=cfg.tau_grid,
                         eval_ks=cfg.eval_ks, n_negatives_values=n_values,
                         pos_noise_values=p_values)
@@ -202,6 +204,8 @@ def cmd_noise_sweep(args) -> int:
              repr(row.eta_mean) if has_eta else "",
              repr(row.eta_median) if has_eta else ""]
             for row in sweep]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep.csv",
                ["r_noise", "pos_noise_ratio", "n_negatives", "loss", "best_tau",
                 f"recall@{select_k}", f"ndcg@{select_k}", "eta_mean", "eta_median"],
@@ -284,9 +288,7 @@ def cmd_ingest(args) -> int:
     stats = {"n_users": ds.n_users, "n_items": ds.n_items,
              "n_train_interactions": ds.n_train_interactions,
              "n_test_interactions": int(sum(a.size for a in ds.test_pos))}
-    with open(out_dir / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "stats.json", stats)
     print(json.dumps(stats, indent=2, sort_keys=True))
     return 0
 

@@ -62,47 +62,42 @@ class Dataset:
         ``n_items`` default to the tightest bounds that fit the data; passing
         larger values keeps trailing users/items with no interactions.
         """
-        if len(test) < len(train):
-            test = list(test) + [[] for _ in range(len(train) - len(test))]
-        if len(train) < len(test):
-            train = list(train) + [[] for _ in range(len(test) - len(train))]
         train_arrs = [_as_sorted_unique(t, what=f"train list of user {u}")
                       for u, t in enumerate(train)]
         test_arrs = [_as_sorted_unique(t, what=f"test list of user {u}")
                      for u, t in enumerate(test)]
 
-        min_users = len(train_arrs)
+        min_users = max(len(train_arrs), len(test_arrs))
         n_users = min_users if n_users is None else int(n_users)
         if n_users < min_users:
             raise DataFormatError(
                 f"n_users={n_users} smaller than number of user lists {min_users}")
-        train_arrs += [np.empty(0, dtype=np.int64)] * (n_users - min_users)
-        test_arrs += [np.empty(0, dtype=np.int64)] * (n_users - min_users)
+        empty = np.empty(0, dtype=np.int64)
+        train_arrs += [empty] * (n_users - len(train_arrs))
+        test_arrs += [empty] * (n_users - len(test_arrs))
 
-        max_item = -1
-        for arr in train_arrs + test_arrs:
-            if arr.size:
-                max_item = max(max_item, int(arr[-1]))
-        min_items = max_item + 1
+        flat_train = np.concatenate([empty, *train_arrs])
+        flat_test = np.concatenate([empty, *test_arrs])
+        min_items = int(max(flat_train.max(initial=-1), flat_test.max(initial=-1))) + 1
         n_items = min_items if n_items is None else int(n_items)
         if n_items < min_items:
             raise DataFormatError(
                 f"n_items={n_items} smaller than max item id + 1 ({min_items})")
 
-        for u in range(n_users):
-            if np.intersect1d(train_arrs[u], test_arrs[u]).size:
-                raise DataFormatError(
-                    f"user {u} has overlapping train/test items")
-
-        if train_arrs:
-            all_train = np.concatenate(train_arrs) if n_users else np.empty(0, np.int64)
-        else:
-            all_train = np.empty(0, dtype=np.int64)
-        popularity = np.bincount(all_train, minlength=n_items).astype(np.int64)
+        # keys are unique per split and sorted, so the first shared one is
+        # the lowest overlapping user's
+        users = np.arange(n_users, dtype=np.int64)
+        overlap = np.intersect1d(
+            np.repeat(users, [a.size for a in train_arrs]) * n_items + flat_train,
+            np.repeat(users, [a.size for a in test_arrs]) * n_items + flat_test,
+            assume_unique=True)
+        if overlap.size:
+            raise DataFormatError(
+                f"user {overlap[0] // n_items} has overlapping train/test items")
 
         return cls(n_users=n_users, n_items=n_items,
                    train_pos=tuple(train_arrs), test_pos=tuple(test_arrs),
-                   item_popularity=popularity)
+                   item_popularity=np.bincount(flat_train, minlength=n_items))
 
     @property
     def n_train_interactions(self) -> int:
@@ -168,12 +163,13 @@ def save_dataset(ds: Dataset, train_path, test_path) -> None:
 
     Every user gets a line in the train file (bare ``user`` if it has no
     training items) so the user count survives a reload. Items that occur in
-    neither split are not representable in this format.
+    neither split are not representable in this format. Each file is
+    replaced atomically (:func:`atomic_open`).
     """
-    with open(train_path, "w", encoding="utf-8") as fh:
+    with atomic_open(train_path, "w", encoding="utf-8") as fh:
         for u in range(ds.n_users):
             fh.write(" ".join([str(u)] + [str(i) for i in ds.train_pos[u]]) + "\n")
-    with open(test_path, "w", encoding="utf-8") as fh:
+    with atomic_open(test_path, "w", encoding="utf-8") as fh:
         for u in range(ds.n_users):
             if ds.test_pos[u].size:
                 fh.write(" ".join([str(u)] + [str(i) for i in ds.test_pos[u]]) + "\n")

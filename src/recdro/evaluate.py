@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DEFAULT_TAU_GRID, ConfigError, LossKind, LossSpec,
-                     TrainConfig, spec_with_tau)
+from .config import (DEFAULT_TAU_GRID, LossKind, LossSpec, TrainConfig,
+                     spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
 from .model import (EmbeddingTable, _normalize_rows, cosine_score,
@@ -296,8 +297,8 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     :func:`prepare_dataset`, seeded with ``cfg.rng_seed``) and the sample
     count ``n_negatives_values``; an empty axis keeps ``cfg``'s setting, so
     without a pos-noise axis the split carries ``cfg.pos_noise_ratio``.
-    Cells run pos-noise, then r_noise, then n_negatives. Every value is
-    checked before the first cell trains.
+    Cells run pos-noise, then r_noise, then n_negatives. Every cell's config
+    passes :meth:`TrainConfig.validate` before the first cell trains.
 
     Each row reports the best-temperature metrics at the selection cutoff and
     the mean/median implied radius of negative batches under that model,
@@ -305,43 +306,36 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     axis makes BSL grid ``tau_pos``, the temperature that counters positive
     noise. Temperature-free losses train once per cell and report NaN radii.
     """
-    r_axis, n_axis = list(r_values), list(n_negatives_values)
-    p_axis = list(pos_noise_values)
-    if not all(0 <= r < math.inf for r in r_axis):
-        raise ConfigError("r_noise values must be finite numbers >= 0")
-    if not all(n >= 1 for n in n_axis):
-        raise ConfigError("n_negatives values must be >= 1")
-    if not all(0 <= p < 1 for p in p_axis):
-        raise ConfigError("pos_noise_ratio values must lie in [0, 1)")
+    p_axis = [float(p) for p in pos_noise_values]
+    cells = []
+    for p, r, n_neg in itertools.product(p_axis or [None],
+                                         [float(r) for r in r_values] or [None],
+                                         [int(n) for n in n_negatives_values] or [None]):
+        settings = {"pos_noise_ratio": p, "r_noise": r, "n_negatives": n_neg}
+        cell_cfg = replace(cfg, **{k: v for k, v in settings.items() if v is not None})
+        cell_cfg.validate()
+        cells.append((p, r, n_neg, cell_cfg))
     select_k = selection_cutoff(eval_ks)
     tau_param = default_tau_param(spec.kind, positive_side=bool(p_axis))
+    # the radius is read at the negative-side temperature
+    eta_param = default_tau_param(spec.kind)
     rows = []
-    for p in p_axis or [None]:
-        ds_p = prepare_dataset(ds, cfg if p is None else replace(cfg, pos_noise_ratio=p))
-        for r in r_axis or [None]:
-            for n_neg in n_axis or [None]:
-                cfg_cell = cfg
-                if r is not None:
-                    cfg_cell = replace(cfg_cell, r_noise=float(r))
-                if n_neg is not None:
-                    cfg_cell = replace(cfg_cell, n_negatives=int(n_neg))
-                result = grid_search_train(ds_p, cfg_cell, spec, tau_grid=tau_grid,
-                                           tau_param=tau_param, eval_ks=eval_ks,
-                                           n_groups=min(10, ds_p.n_items))
-                if tau_param is None:
-                    eta_mean = eta_median = float("nan")
-                else:
-                    tau_used = (result.best_spec.tau_neg if spec.kind is LossKind.BSL
-                                else result.best_spec.tau)
-                    etas = negative_radius_estimates(result.emb, ds_p, cfg_cell, tau_used)
-                    eta_mean = float(np.mean(etas))
-                    eta_median = float(np.median(etas))
-                rows.append(NoiseSweepRow(
-                    r_noise=None if r is None else float(r),
-                    pos_noise_ratio=None if p is None else float(p),
-                    n_negatives=None if n_neg is None else int(n_neg),
-                    best_tau=result.best_tau,
-                    recall=result.report.recall[select_k],
-                    ndcg=result.report.ndcg[select_k],
-                    eta_mean=eta_mean, eta_median=eta_median))
+    for p, r, n_neg, cell_cfg in cells:
+        ds_p, cell_cfg = prepare_dataset(ds, cell_cfg)
+        result = grid_search_train(ds_p, cell_cfg, spec, tau_grid=tau_grid,
+                                   tau_param=tau_param, eval_ks=eval_ks,
+                                   n_groups=min(10, ds_p.n_items))
+        if eta_param is None:
+            eta_mean = eta_median = float("nan")
+        else:
+            etas = negative_radius_estimates(result.emb, ds_p, cell_cfg,
+                                             getattr(result.best_spec, eta_param))
+            eta_mean = float(np.mean(etas))
+            eta_median = float(np.median(etas))
+        rows.append(NoiseSweepRow(
+            r_noise=r, pos_noise_ratio=p, n_negatives=n_neg,
+            best_tau=result.best_tau,
+            recall=result.report.recall[select_k],
+            ndcg=result.report.ndcg[select_k],
+            eta_mean=eta_mean, eta_median=eta_median))
     return rows

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BslForm, LossKind, LossSpec, SamplingMode, TrainConfig
+from .config import (BslForm, ConfigError, LossKind, LossSpec, SamplingMode,
+                     TrainConfig)
 from .data import Dataset, atomic_open
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
 from .sampling import SamplerState, sample_negatives
@@ -389,9 +390,14 @@ def train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
 
     ``epoch_callback(epoch, emb) -> dict | None`` may attach extra metrics to
     an epoch's log entry (the table must be treated as read-only inside).
+
+    A nonzero ``cfg.pos_noise_ratio`` is a ``ConfigError``: train the split
+    and config that :func:`~recdro.sampling.prepare_dataset` returns.
     """
     cfg.validate()
     spec.validate()
+    if cfg.pos_noise_ratio:
+        raise ConfigError("pos_noise_ratio is applied by prepare_dataset, not train")
     emb = init_embeddings(ds.n_users, ds.n_items, cfg.embedding_dim, seed=cfg.rng_seed)
     adam = AdamState.for_table(emb)
     loss_fn = loss_fn_from_spec(spec)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,42 +162,41 @@ def contaminate_positives(ds: Dataset, ratio: float, seed: int) -> Dataset:
     """
     if not 0 <= ratio < 1:
         raise ValueError("ratio must lie in [0, 1)")
-    if ratio == 0:
-        return Dataset.from_positive_lists(
-            [a.copy() for a in ds.train_pos], [a.copy() for a in ds.test_pos],
-            n_users=ds.n_users, n_items=ds.n_items)
-
     rng = np.random.default_rng(seed)
-    all_items = np.arange(ds.n_items, dtype=np.int64)
     new_train = []
     shortfall = 0
-    for u in range(ds.n_users):
-        pos = ds.train_pos[u]
+    for pos, test in zip(ds.train_pos, ds.test_pos):
         # target count: exact integer products must not round up twice
         want = math.ceil(ratio * pos.size - 1e-9)
-        if want == 0:
-            new_train.append(pos.copy())
-            continue
-        blocked = np.union1d(pos, ds.test_pos[u])
-        avail = np.setdiff1d(all_items, blocked, assume_unique=False)
-        take = min(want, avail.size)
-        shortfall += want - take
-        injected = rng.choice(avail, size=take, replace=False) if take else np.empty(0, np.int64)
-        new_train.append(np.union1d(pos, injected))
+        if want:
+            blocked = np.union1d(pos, test)
+            n_free = ds.n_items - blocked.size
+            take = min(want, n_free)
+            shortfall += want - take
+            # choice() over a count makes the RNG calls of choice() over the
+            # free ids themselves (none for an empty draw); ranks map to ids
+            ranks = rng.choice(n_free, size=take, replace=False)
+            pos = np.union1d(pos, complement_ids(blocked, ranks))
+        new_train.append(pos)
     if shortfall:
         logger.warning("contamination shortfall: %d injections skipped "
                        "(users with too few free negatives)", shortfall)
-    return Dataset.from_positive_lists(new_train, [a.copy() for a in ds.test_pos],
+    return Dataset.from_positive_lists(new_train, ds.test_pos,
                                        n_users=ds.n_users, n_items=ds.n_items)
 
 
-def prepare_dataset(ds: Dataset, cfg: TrainConfig) -> Dataset:
-    """The training split ``cfg`` describes: ``ds`` with ``cfg.pos_noise_ratio``
-    false positives injected (seeded with ``cfg.rng_seed``), or ``ds`` itself
-    at ratio 0."""
+def prepare_dataset(ds: Dataset, cfg: TrainConfig) -> tuple[Dataset, TrainConfig]:
+    """The training split and config ``cfg`` describes, ready for ``train``.
+
+    The split is ``ds`` with ``cfg.pos_noise_ratio`` false positives injected
+    (seeded with ``cfg.rng_seed``), or ``ds`` itself at ratio 0; the config is
+    ``cfg`` with that ratio spent (0). This is the only place the ratio acts:
+    :func:`~recdro.model.train` rejects a config that still carries one.
+    """
     if cfg.pos_noise_ratio > 0:
-        return contaminate_positives(ds, cfg.pos_noise_ratio, cfg.rng_seed)
-    return ds
+        return (contaminate_positives(ds, cfg.pos_noise_ratio, cfg.rng_seed),
+                replace(cfg, pos_noise_ratio=0.0))
+    return ds, cfg
 
 
 def in_batch_negatives(batch_users, batch_items) -> np.ndarray:

@@ -526,3 +526,43 @@ def test_non_finite_r_noise_exits_2_before_training(tmp_path, capsys, monkeypatc
     assert "r_noise" in capsys.readouterr().err
     assert trained == []
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_with_malformed_split_leaves_no_outputs(tmp_path):
+    write_fixture(tmp_path)
+    good = (tmp_path / "train.txt").read_text()
+    (tmp_path / "train.txt").write_text("0 1 x\n")
+    cfg = write_config(tmp_path, epochs="2", eval_every="0")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    # the fixed file trains into the same directory
+    (tmp_path / "train.txt").write_text(good)
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+
+def test_noise_sweep_usage_error_creates_no_directory(tmp_path):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, tau_grid="0.2")
+    out = tmp_path / "sweep"
+    assert main(["noise-sweep", "--config", str(cfg), "--out", str(out),
+                 "--r-noise-values", "inf"]) == 2
+    assert not out.exists()
+
+
+def test_ingest_write_failing_midway_leaves_previous_outputs(tmp_path, monkeypatch):
+    write_fixture(tmp_path)
+    out = tmp_path / "ingested"
+    argv = ["ingest", "--train", str(tmp_path / "train.txt"),
+            "--test", str(tmp_path / "test.txt"), "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("device full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    assert main(argv) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

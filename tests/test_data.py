@@ -179,3 +179,32 @@ class TestConfig:
         assert bumped.train.epochs == 9
         with pytest.raises(ConfigError):
             override_config(cfg, {"nope": "1"})
+
+
+def test_overlap_error_names_the_first_overlapping_user():
+    train = [[0]] * 3 + [[1, 2]] + [[0]] * 3 + [[4]]
+    test = [[1]] * 3 + [[2]] + [[1]] * 3 + [[4]]
+    with pytest.raises(DataFormatError, match=r"user 3 has overlapping"):
+        Dataset.from_positive_lists(train, test)
+
+
+def test_save_dataset_failing_midway_leaves_previous_files(tmp_path):
+    ds = random_interactions(20, 15, per_user=4, seed=1, test_fraction=0.3)
+    paths = (tmp_path / "train.txt", tmp_path / "test.txt")
+    save_dataset(ds, *paths)
+    before = [p.read_bytes() for p in paths]
+
+    class FailingList:
+        size = 2
+
+        def __iter__(self):
+            yield 1
+            raise OSError("device full")
+
+    broken = Dataset(n_users=2, n_items=3, train_pos=(np.array([0, 2]), FailingList()),
+                     test_pos=(np.empty(0, np.int64),) * 2,
+                     item_popularity=np.ones(3, np.int64))
+    with pytest.raises(OSError, match="device full"):
+        save_dataset(broken, *paths)
+    assert [p.read_bytes() for p in paths] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.txt", "train.txt"]

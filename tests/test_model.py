@@ -604,3 +604,19 @@ class TestFastPathsBitIdentical:
                 idx = np.flatnonzero(users == u)
                 expected[idx] = sample_negatives(slow, ds, int(u), idx.size * 4).reshape(-1, 4)
             assert np.array_equal(got, expected)
+
+
+def test_train_rejects_unspent_pos_noise_ratio():
+    from recdro.config import ConfigError
+    from recdro.sampling import contaminate_positives, prepare_dataset
+
+    ds = planted_clusters(30, 20, seed=0)
+    cfg = TrainConfig(embedding_dim=4, epochs=1, batch_size=64, n_negatives=4,
+                      pos_noise_ratio=0.4, rng_seed=3)
+    spec = LossSpec(kind=LossKind.SL, tau=0.2)
+    with pytest.raises(ConfigError, match="pos_noise_ratio"):
+        train(ds, cfg, spec)
+    ds_p, cfg_p = prepare_dataset(ds, cfg)
+    assert cfg_p.pos_noise_ratio == 0.0
+    assert ds_p.equals(contaminate_positives(ds, 0.4, cfg.rng_seed))
+    train(ds_p, cfg_p, spec)

@@ -251,3 +251,49 @@ class TestInBatchNegatives:
             in_batch_negatives([0], [1])
         with pytest.raises(ValueError):
             in_batch_negatives([0, 1], [1])
+
+
+class TestContaminationMatchesMaterializedComplement:
+    """The rank-mapped draw equals choice() over each user's free ids."""
+
+    @staticmethod
+    def materialized_reference(ds, ratio, seed):
+        rng = np.random.default_rng(seed)
+        all_items = np.arange(ds.n_items)
+        out = []
+        for pos, test in zip(ds.train_pos, ds.test_pos):
+            want = math.ceil(ratio * pos.size - 1e-9)
+            avail = np.setdiff1d(all_items, np.union1d(pos, test))
+            take = min(want, avail.size)
+            if take:
+                pos = np.union1d(pos, rng.choice(avail, size=take, replace=False))
+            out.append(pos)
+        return out
+
+    @staticmethod
+    def edge_dataset():
+        n_items = 12
+        train = [[0, 1, 2], [n_items - 1], [0, n_items - 1], [],
+                 list(range(1, n_items - 1)), [5, 6], [3]]
+        test = [[n_items - 1], [], [5], [0], [0, n_items - 1], [0], []]
+        return Dataset.from_positive_lists(train, test, n_items=n_items)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("ratio", [0.0, 0.2, 0.5, 0.9])
+    def test_matches_reference(self, seed, ratio):
+        for ds in (self.edge_dataset(),
+                   random_interactions(40, 25, per_user=6, seed=seed, test_fraction=0.3)):
+            out = contaminate_positives(ds, ratio, seed)
+            expect = self.materialized_reference(ds, ratio, seed)
+            assert all(np.array_equal(a, b) for a, b in zip(out.train_pos, expect))
+            assert all(np.array_equal(a, b) for a, b in zip(out.test_pos, ds.test_pos))
+
+    def test_edge_users_cover_the_catalog_ends_and_an_empty_draw(self):
+        ds = self.edge_dataset()
+        # user 4 wants a false positive but has no free item: an empty draw
+        assert ds.n_items - np.union1d(ds.train_pos[4], ds.test_pos[4]).size == 0
+        injected = np.concatenate([
+            np.setdiff1d(out, before) for seed in range(20)
+            for out, before in zip(contaminate_positives(ds, 0.9, seed).train_pos,
+                                   ds.train_pos)])
+        assert {0, ds.n_items - 1} <= set(injected.tolist())
