@@ -32,7 +32,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def _as_sorted_unique(items, *, what: str) -> np.ndarray:
-    arr = np.asarray(items, dtype=np.int64).ravel()
+    arr = np.asarray(items).ravel()
+    # an empty list arrives as float64; anything else must hold integers
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DataFormatError(f"non-integer id in {what}")
+    arr = arr.astype(np.int64)
     if arr.size and arr.min() < 0:
         raise DataFormatError(f"negative id in {what}")
     return np.unique(arr)

@@ -210,6 +210,10 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
       into per-user groups (default: every row its own group); a group's
       negative part pools the negative entries of all its rows. With a
       single positive the positive part reduces exactly to ``-pos``.
+      Groups of equal size are evaluated together, one per row of a
+      ``(groups, size)`` and a ``(groups, size * m)`` array, and the group
+      terms are added sequentially in group order: the value and gradients
+      carry exactly the bits of a loop over groups.
     * ``PSEUDOCODE``: one positive per row,
       -pos / tau_pos + (tau_pos / tau_neg) * log sum_j exp(neg_j / tau_neg),
       averaged over rows. With ``tau_pos == tau_neg`` this is the softmax
@@ -232,31 +236,36 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
         raise ValueError(f"unknown form {form!r}")
 
     if pos_group_sizes is None:
-        sizes = [1] * n
+        sizes = np.ones(n, dtype=np.int64)
     else:
-        sizes = [int(s) for s in pos_group_sizes]
-        if any(s < 1 for s in sizes):
+        sizes = np.asarray(pos_group_sizes, dtype=np.int64).ravel()
+        if np.any(sizes < 1):
             raise ValueError("every positive group needs at least one positive")
-        if sum(sizes) != n:
+        if sizes.sum() != n:
             raise ValueError("pos_group_sizes must sum to the batch size")
 
-    n_groups = len(sizes)
-    grad_pos = np.zeros(n)
-    grad_neg = np.zeros_like(batch.neg_scores)
-    total = 0.0
-    start = 0
-    for size in sizes:
-        rows = slice(start, start + size)
-        p = batch.pos_scores[rows]
-        negs = batch.neg_scores[rows]
-        pos_lse, pos_w = _logsumexp_softmax(p / tau_pos)
-        neg_lse, neg_w = _logsumexp_softmax(negs.ravel() / tau_neg)
+    # one pass per distinct group size: the (G, size) positives and the
+    # (G, size * m) pooled negatives of its groups, reduced along rows;
+    # a row reduction sums exactly as the 1-D reduction of that row would
+    n_groups, m = sizes.size, batch.n_negatives
+    starts = np.cumsum(sizes) - sizes
+    terms = np.empty(n_groups)
+    grad_pos = np.empty(n)
+    grad_neg = np.empty_like(batch.neg_scores)
+    for size in np.unique(sizes):
+        groups = np.flatnonzero(sizes == size)
+        rows = (starts[groups, None] + np.arange(size)).ravel()
+        pos_lse, pos_w = _logsumexp_softmax(
+            batch.pos_scores[rows].reshape(-1, size) / tau_pos, axis=1)
+        neg_lse, neg_w = _logsumexp_softmax(
+            batch.neg_scores[rows].reshape(-1, size * m) / tau_neg, axis=1)
         # -tau_pos * log mean exp(p/tau_pos) = -tau_pos * (lse(p/tau_pos) - log size)
-        total += -tau_pos * (pos_lse - np.log(size)) + tau_neg * neg_lse
-        grad_pos[rows] = -pos_w / n_groups
-        grad_neg[rows] = neg_w.reshape(negs.shape) / n_groups
-        start += size
-    return LossResult(float(total / n_groups), grad_pos, grad_neg)
+        terms[groups] = -tau_pos * (pos_lse - np.log(size)) + tau_neg * neg_lse
+        grad_pos[rows] = (-pos_w / n_groups).ravel()
+        grad_neg[rows] = (neg_w / n_groups).reshape(-1, m)
+    # the groups' terms added one after another in group order (cumsum),
+    # not pairwise as np.sum would
+    return LossResult(float(np.cumsum(terms)[-1] / n_groups), grad_pos, grad_neg)
 
 
 def loss_fn_from_spec(spec: LossSpec):

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (BslForm, ConfigError, LossKind, LossSpec, SamplingMode,
-                     TrainConfig)
+from .config import (BslForm, ConfigError, LossKind, LossSpec, NegSampler,
+                     SamplingMode, TrainConfig)
 from .data import Dataset, atomic_open
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
-from .sampling import SamplerState, sample_negatives
+from .sampling import SamplerState, sample_negatives, sample_negatives_batch
 
 #: Added to every row norm before dividing; keeps zero vectors finite.
 NORM_EPS = 1e-12
@@ -359,10 +359,15 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
 
 def _gather_negatives(sampler: SamplerState, ds: Dataset, users: np.ndarray,
                       m: int) -> np.ndarray:
-    """Sample an (B, m) negative block, one sampler call per distinct user.
+    """Sample an (B, m) negative block for the batch's ``users``.
 
-    Users are visited in ascending order, and a user's rows in batch order.
+    A popularity sampler draws the whole block in one
+    :func:`~recdro.sampling.sample_negatives_batch` call. A uniform sampler
+    makes one :func:`~recdro.sampling.sample_negatives` call per distinct
+    user, visiting users in ascending order and a user's rows in batch order.
     """
+    if sampler.mode is NegSampler.POPULARITY:
+        return sample_negatives_batch(sampler, ds, users, m)
     out = np.empty((users.size, m), dtype=np.int64)
     by_user = np.argsort(users, kind="stable")
     uniq, starts = np.unique(users[by_user], return_index=True)

@@ -125,6 +125,90 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
     return out
 
 
+def sample_negatives_batch(st: SamplerState, ds: Dataset, users, m: int) -> np.ndarray:
+    """Popularity-mode negatives for a whole batch: ``m`` per row, as (B, m).
+
+    Row ``b`` holds ``m`` i.i.d. draws for ``users[b]`` from the distribution
+    of :func:`sample_negatives` (item ``i`` at weight ``w_i``, times
+    ``st.r_noise`` if it is one of the user's positives), but from one RNG
+    stream for the whole batch, so the draws themselves differ from a
+    per-user loop of :func:`sample_negatives`.
+
+    Each slot leaks with probability r·W+ / (r·W+ + W-) and then draws from
+    its user's positives ∝ weight, through one cumulative sum over the
+    batch's flat positive lists. Every other slot proposes an item from the
+    catalog's popularity CDF and is redrawn while the item is one of its
+    user's positives. A user whose positives hold at least half of the
+    catalog weight, where a proposal would be rejected at least half the
+    time, takes the exact per-user :func:`sample_negatives` draw instead;
+    so does a user with no negative weight, which keeps its ``ValueError``.
+    Nothing of size users × items is built.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if st.mode is not NegSampler.POPULARITY:
+        raise ValueError("sample_negatives_batch needs a popularity sampler")
+    weights = st.popularity_weights
+    if weights.shape[0] != ds.n_items:
+        raise ValueError("popularity_weights length must equal n_items")
+    users = np.asarray(users, dtype=np.int64)
+    out = np.empty((users.size, m), dtype=np.int64)
+
+    # the batch's distinct users and their positives as flat CSR slices
+    uniq, inv = np.unique(users, return_inverse=True)
+    pos_lists = [ds.train_pos[u] for u in uniq]
+    indptr = np.zeros(uniq.size + 1, dtype=np.int64)
+    np.cumsum([p.size for p in pos_lists], out=indptr[1:])
+    indices = np.concatenate([np.empty(0, np.int64), *pos_lists])
+    # pos_cum[t] is the weight of the first t flat positives
+    pos_cum = np.zeros(indices.size + 1)
+    np.cumsum(weights[indices], out=pos_cum[1:])
+    w_pos = pos_cum[indptr[1:]] - pos_cum[indptr[:-1]]
+    cdf = np.cumsum(weights)
+    total = cdf[-1]
+    if not np.isfinite(total):
+        raise ValueError("popularity weights have a non-finite total")
+    cdf /= total
+    w_neg = total - w_pos
+
+    exact = 2 * w_pos >= total
+    for j in np.flatnonzero(exact):
+        rows = np.flatnonzero(inv == j)
+        out[rows] = sample_negatives(st, ds, int(uniq[j]), rows.size * m).reshape(-1, m)
+
+    rows = np.flatnonzero(~exact[inv])
+    slot_user = np.repeat(inv[rows], m)  # index into uniq of each slot
+    items = np.empty(slot_user.size, dtype=np.int64)
+    leak = np.zeros(slot_user.size, dtype=bool)
+    r = st.r_noise
+    if r > 0:
+        p_leak = r * w_pos / (r * w_pos + w_neg)
+        leak = st.rng.random(slot_user.size) < p_leak[slot_user]
+        lu = slot_user[leak]
+        start, end = pos_cum[indptr[lu]], pos_cum[indptr[lu + 1]]
+        target = start + st.rng.random(lu.size) * (end - start)
+        # a target rounded up to its slice's end takes the slice's last
+        # item of positive weight, never a zero-weight or foreign one
+        t = np.minimum(pos_cum.searchsorted(target, side="right"),
+                       pos_cum.searchsorted(end, side="left"))
+        items[leak] = indices[t - 1]
+
+    # sorted (user slot, item) keys of the positives, with a sentinel above
+    # every key so a search never runs off the end
+    n_items = ds.n_items
+    pos_keys = np.append(np.repeat(np.arange(uniq.size), np.diff(indptr)) * n_items
+                         + indices, uniq.size * n_items)
+    need = np.flatnonzero(~leak)
+    while need.size:
+        cand = cdf.searchsorted(st.rng.random(need.size), side="right")
+        keys = slot_user[need] * n_items + cand
+        hit = pos_keys[pos_keys.searchsorted(keys)] == keys
+        items[need[~hit]] = cand[~hit]
+        need = need[hit]
+    out[rows] = items.reshape(-1, m)
+    return out
+
+
 def complement_ids(pos: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Ids of the items at ``ranks`` among those not in the sorted ``pos``.
 

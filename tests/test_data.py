@@ -208,3 +208,20 @@ def test_save_dataset_failing_midway_leaves_previous_files(tmp_path):
         save_dataset(broken, *paths)
     assert [p.read_bytes() for p in paths] == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["test.txt", "train.txt"]
+
+
+@pytest.mark.parametrize("bad", [[1.5, 2.9], ["3"], [True], np.array([1.0, 2.0])],
+                         ids=["fractional", "string", "bool", "integral-float"])
+def test_non_integer_item_ids_rejected(bad):
+    with pytest.raises(DataFormatError, match="non-integer id in train list of user 1"):
+        Dataset.from_positive_lists([[0], bad], [[], []])
+    with pytest.raises(DataFormatError, match="non-integer id in test list of user 0"):
+        Dataset.from_positive_lists([[0]], [bad])
+
+
+def test_empty_item_lists_stay_valid():
+    ds = Dataset.from_positive_lists([[], np.array([2], np.uint8), np.empty(0)],
+                                     [(), [], [0]])
+    assert (ds.n_users, ds.n_items) == (3, 3)
+    assert [a.tolist() for a in ds.train_pos] == [[], [2], []]
+    assert all(a.dtype == np.int64 for a in ds.train_pos + ds.test_pos)

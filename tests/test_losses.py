@@ -365,3 +365,49 @@ class TestSharedExpBitIdentical:
     def test_bsl_value_is_a_python_float(self, form):
         b = self.batch(4)
         assert type(bsl_loss(b, 0.3, 0.08, form).value) is float
+
+
+def per_group_bsl(batch, tau_pos, tau_neg, sizes):
+    """Canonical BSL one group at a time, with the 1-D logsumexp and softmax."""
+    grad_pos = np.zeros(batch.n_examples)
+    grad_neg = np.zeros_like(batch.neg_scores)
+    total, start = 0.0, 0
+    for size in sizes:
+        rows = slice(start, start + size)
+        p, negs = batch.pos_scores[rows], batch.neg_scores[rows]
+        total += (-tau_pos * (logsumexp(p / tau_pos) - np.log(size))
+                  + tau_neg * logsumexp(negs.ravel() / tau_neg))
+        grad_pos[rows] = -softmax(p / tau_pos) / len(sizes)
+        grad_neg[rows] = softmax(negs.ravel() / tau_neg).reshape(negs.shape) / len(sizes)
+        start += size
+    return float(total / len(sizes)), grad_pos, grad_neg
+
+
+class TestCanonicalBslAtTrainingShape:
+    """Size-grouped canonical BSL against the per-group loop, bit for bit, on
+    a 1024-row batch with 64 negatives per row."""
+
+    N, M = 1024, 64
+
+    @staticmethod
+    def realistic_sizes(rng, n, n_groups):
+        cuts = np.sort(rng.choice(np.arange(1, n), size=n_groups - 1, replace=False))
+        return np.diff(np.concatenate([[0], cuts, [n]]))
+
+    @pytest.mark.parametrize("case", ["430-groups", "all-ones", "one-group"])
+    @pytest.mark.parametrize("tau_pos, tau_neg", [(0.1, 0.1), (0.3, 0.08)])
+    def test_matches_per_group_loop(self, case, tau_pos, tau_neg):
+        rng = np.random.default_rng(17)
+        b = ScoreBatch(rng.uniform(-1, 1, self.N), rng.uniform(-1, 1, (self.N, self.M)))
+        sizes = {"430-groups": self.realistic_sizes(rng, self.N, 430),
+                 "all-ones": np.ones(self.N, dtype=np.int64),
+                 "one-group": np.array([self.N])}[case]
+        if case == "430-groups":
+            # sizes repeat and are out of order, as a user-sorted batch gives them
+            assert np.unique(sizes).size < sizes.size
+            assert np.any(np.diff(sizes) < 0) and np.any(np.diff(sizes) > 0)
+        res = bsl_loss(b, tau_pos, tau_neg, BslForm.CANONICAL, pos_group_sizes=sizes)
+        value, grad_pos, grad_neg = per_group_bsl(b, tau_pos, tau_neg, sizes)
+        assert res.value == value
+        assert np.array_equal(res.grad_pos, grad_pos)
+        assert np.array_equal(res.grad_neg, grad_neg)

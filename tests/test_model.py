@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import recdro.model as model_mod
-from recdro.config import (BslForm, LossKind, LossSpec, SamplingMode, TrainConfig)
+from recdro.config import (BslForm, LossKind, LossSpec, NegSampler, SamplingMode,
+                           TrainConfig)
 from recdro.data import Dataset
 from recdro.losses import LossResult, ScoreBatch, bsl_loss, loss_fn_from_spec
 from recdro.model import (AdamState, CheckpointError, EmbeddingTable,
@@ -620,3 +621,22 @@ def test_train_rejects_unspent_pos_noise_ratio():
     assert cfg_p.pos_noise_ratio == 0.0
     assert ds_p.equals(contaminate_positives(ds, 0.4, cfg.rng_seed))
     train(ds_p, cfg_p, spec)
+
+
+@pytest.mark.parametrize("r_noise", [0.0, 0.5])
+def test_popularity_training_is_seed_deterministic(r_noise):
+    ds = planted_clusters(n_users=30, n_items=20, seed=1)
+    spec = LossSpec(kind=LossKind.BSL, tau_pos=0.25, tau_neg=0.2,
+                    bsl_form=BslForm.CANONICAL)
+
+    def run(seed):
+        cfg = TrainConfig(embedding_dim=6, learning_rate=5e-3, epochs=3, batch_size=32,
+                          n_negatives=4, rng_seed=seed, neg_sampler=NegSampler.POPULARITY,
+                          r_noise=r_noise)
+        return train(ds, cfg, spec)
+
+    (a, log_a), (b, log_b), (c, _) = run(21), run(21), run(22)
+    assert np.array_equal(a.user_vecs, b.user_vecs)
+    assert np.array_equal(a.item_vecs, b.item_vecs)
+    assert log_a == log_b
+    assert not np.array_equal(a.item_vecs, c.item_vecs)

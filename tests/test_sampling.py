@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from recdro.config import NegSampler
 from recdro.data import Dataset
 from recdro.sampling import (SamplerState, contaminate_positives,
                              in_batch_negatives, positive_fraction,
-                             popularity_weights_from_counts, sample_negatives)
+                             popularity_weights_from_counts, sample_negatives,
+                             sample_negatives_batch)
 from recdro.synthetic import random_interactions
 
 
@@ -297,3 +299,156 @@ class TestContaminationMatchesMaterializedComplement:
             for out, before in zip(contaminate_positives(ds, 0.9, seed).train_pos,
                                    ds.train_pos)])
         assert {0, ds.n_items - 1} <= set(injected.tolist())
+
+
+class TestSampleNegativesBatch:
+    """The batch draw against the exact per-user target distribution."""
+
+    M = 64
+
+    @staticmethod
+    def target(ds, weights, r_noise, user):
+        """P(i) ∝ w_i · (r_noise if i is one of ``user``'s positives else 1)."""
+        p = weights.copy()
+        p[ds.train_pos[user]] *= r_noise
+        return p / p.sum()
+
+    @staticmethod
+    def chi_square(draws, p):
+        """Pearson's statistic over bins expected >= 5 times (the rest pooled)
+        and its degrees of freedom."""
+        expected = draws.size * p
+        counts = np.bincount(draws, minlength=p.size)
+        big = expected >= 5
+        obs = np.append(counts[big], counts[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        obs, exp = obs[exp > 0], exp[exp > 0]
+        return float(((obs - exp) ** 2 / exp).sum()), exp.size - 1
+
+    @staticmethod
+    def catalog(n_items, r_noise):
+        """The oracle catalog with three zero-weight items (positives of users 0,
+        1 and 2 among them) plus a user with no positives and, when positives
+        may leak, a user holding every item."""
+        lists, weights = TestSampleNegatives.oracle_catalog(n_items)
+        weights = weights.copy()
+        weights[[3, 7, n_items // 2]] = 0.0
+        lists = [list(a) for a in lists] + [[]]
+        if r_noise > 0:
+            lists.append(list(range(n_items)))
+        return Dataset.from_positive_lists(lists, [[]] * len(lists), n_items=n_items), weights
+
+    @pytest.mark.parametrize("n_items", [40, 3000])
+    @pytest.mark.parametrize("r_noise", [0.0, 0.1, 3.0])
+    def test_matches_target_distribution(self, n_items, r_noise, monkeypatch):
+        import recdro.sampling as sampling_mod
+
+        ds, weights = self.catalog(n_items, r_noise)
+        exact_users = []
+
+        def spy(st, ds_, user, n):
+            exact_users.append(user)
+            return sample_negatives(st, ds_, user, n)
+
+        monkeypatch.setattr(sampling_mod, "sample_negatives", spy)
+        rows_per_user = 400
+        rng = np.random.default_rng(n_items)
+        users = rng.permutation(np.repeat(np.arange(ds.n_users), rows_per_user))
+        st = SamplerState.create(seed=12, mode=NegSampler.POPULARITY, r_noise=r_noise,
+                                 popularity_weights=weights)
+        block = sampling_mod.sample_negatives_batch(st, ds, users, self.M)
+        assert block.shape == (users.size, self.M)
+
+        # the exact per-user draw serves the users holding >= half the weight:
+        # user 3 (every item but item 0) and the user holding every item
+        heavy = [u for u in range(ds.n_users)
+                 if 2 * weights[ds.train_pos[u]].sum() >= weights.sum()]
+        assert sorted(exact_users) == heavy
+        assert 3 in heavy and (r_noise == 0 or ds.n_users - 1 in heavy)
+
+        for user in range(ds.n_users):
+            draws = block[users == user].ravel()
+            p = self.target(ds, weights, r_noise, user)
+            assert not np.isin(draws, np.flatnonzero(p == 0)).any()
+            stat, df = self.chi_square(draws, p)
+            # bound fixed in advance: six standard deviations of chi2(df) above its mean
+            assert stat <= df + 6 * math.sqrt(2 * df), (user, stat, df)
+        if r_noise == 0:
+            assert not np.isin(block[users == 0], ds.train_pos[0]).any()
+        else:
+            assert np.isin(block[users == ds.n_users - 1], np.flatnonzero(weights)).all()
+
+    def test_catalog_ends_are_drawn(self):
+        # users 0 and 1 hold items 0 and n_items-1; user 2 draws both
+        ds, weights = self.catalog(40, 0.0)
+        st = SamplerState.create(seed=3, mode=NegSampler.POPULARITY, r_noise=0.0,
+                                 popularity_weights=weights)
+        block = sample_negatives_batch(st, ds, np.array([2] * 100 + [0, 1] * 50), self.M)
+        assert {0, 39} <= set(block[:100].ravel().tolist())
+        assert not np.isin(block[100::2], [0, 39]).any()
+        assert not np.isin(block[101::2], [0, 39]).any()
+
+    def test_seed_determinism(self):
+        ds, weights = self.catalog(3000, 0.1)
+        users = np.random.default_rng(1).integers(0, ds.n_users, size=300)
+
+        def draw(seed):
+            st = SamplerState.create(seed=seed, mode=NegSampler.POPULARITY, r_noise=0.1,
+                                     popularity_weights=weights)
+            return sample_negatives_batch(st, ds, users, 8)
+
+        assert np.array_equal(draw(5), draw(5))
+        assert not np.array_equal(draw(5), draw(6))
+
+    def test_rows_follow_their_users(self):
+        # disjoint positives: at r_noise 0 each row avoids exactly its own user's
+        ds = Dataset.from_positive_lists([[0, 1, 2], [3, 4, 5], [6, 7, 8]], [[]] * 3,
+                                         n_items=10)
+        st = SamplerState.create(seed=4, mode=NegSampler.POPULARITY,
+                                 popularity_weights=np.ones(10))
+        users = np.array([2, 0, 1, 0, 2, 1] * 50)
+        block = sample_negatives_batch(st, ds, users, 16)
+        for row, user in zip(block, users):
+            assert not np.isin(row, ds.train_pos[user]).any()
+        for user in range(3):
+            others = np.setdiff1d(np.arange(9), ds.train_pos[user])
+            assert np.isin(others, block[users == user]).all()
+
+    @pytest.mark.parametrize("lists, weights, r_noise", [
+        ([[0, 1, 2]], [1.0, 1.0, 1.0], 0.0),   # every item positive
+        ([[0, 1]], [1.0, 1.0, 0.0], 0.0),      # negatives weigh zero
+    ])
+    def test_errors_match_per_user_sampler(self, lists, weights, r_noise):
+        ds = Dataset.from_positive_lists(lists, [[]], n_items=len(weights))
+
+        def state():
+            return SamplerState.create(seed=0, mode=NegSampler.POPULARITY, r_noise=r_noise,
+                                       popularity_weights=np.array(weights))
+
+        with pytest.raises(ValueError) as per_user:
+            sample_negatives(state(), ds, 0, 4)
+        with pytest.raises(ValueError, match=re.escape(str(per_user.value))):
+            sample_negatives_batch(state(), ds, np.array([0, 0]), 2)
+
+    def test_zero_weight_negatives_leak_only_positives(self):
+        ds = Dataset.from_positive_lists([[0, 1]], [[]], n_items=3)
+        st = SamplerState.create(seed=0, mode=NegSampler.POPULARITY, r_noise=0.5,
+                                 popularity_weights=np.array([1.0, 3.0, 0.0]))
+        block = sample_negatives_batch(st, ds, np.zeros(50, dtype=np.int64), 8)
+        assert np.isin(block, [0, 1]).all()
+
+    def test_invalid_calls(self):
+        ds = Dataset.from_positive_lists([[1, 2], [3]], [[], []], n_items=5)
+        st = SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
+                                 popularity_weights=np.ones(5))
+        with pytest.raises(ValueError, match="m must be"):
+            sample_negatives_batch(st, ds, np.array([0]), 0)
+        with pytest.raises(ValueError, match="popularity"):
+            sample_negatives_batch(SamplerState.create(seed=0), ds, np.array([0]), 2)
+        short = SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
+                                    popularity_weights=np.ones(4))
+        with pytest.raises(ValueError, match="length"):
+            sample_negatives_batch(short, ds, np.array([0]), 2)
+        st.popularity_weights[1] = np.nan  # corrupted after validation
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_negatives_batch(st, ds, np.array([0, 1]), 2)
