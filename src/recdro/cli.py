@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -19,8 +20,9 @@ import numpy as np
 
 from .evaluate import (default_tau_param, evaluate, noise_sweep, report_as_dict,
                        report_rows, selection_cutoff)
-from .config import (CONFIG_KEYS, ConfigError, ExperimentConfig, _parse_float_list,
-                     _parse_int_list, load_config, override_config, config_as_dict)
+from .config import (CONFIG_KEYS, MIN_TAU, ConfigError, ExperimentConfig,
+                     _parse_float_list, _parse_int_list, check_range, check_values,
+                     config_as_dict, load_config, override_config)
 from .data import DataFormatError, Dataset, atomic_open, load_dataset, save_dataset
 from .dro import estimate_eta, worst_case_weights
 from .model import (CheckpointError, TrainingDivergedError, cosine_score,
@@ -79,6 +81,11 @@ def _load_split(cfg: ExperimentConfig) -> Dataset:
     return load_dataset(cfg.train_file, cfg.test_file)
 
 
+def _load_scored(args):
+    """The ``--checkpoint`` and the ``--train``/``--test`` split it is scored on."""
+    return load_checkpoint(args.checkpoint).emb, load_dataset(args.train, args.test)
+
+
 def _config_from_args(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     overrides = {}
@@ -100,17 +107,6 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _check_count(flag: str, value: int) -> None:
-    """A count flag below 1 is a usage error, raised before any file is read."""
-    if value < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {value}")
-
-
-def _metric_columns(ks):
-    cols = [f"recall@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
-    return cols
-
-
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     # a split that fails to load or prepare leaves no output behind
@@ -121,6 +117,7 @@ def cmd_train(args) -> int:
     _write_manifest(out_dir, cfg)
 
     ks = cfg.eval_ks
+    metric_cols = [f"{name}@{k}" for name in ("recall", "ndcg") for k in ks]
     best = {"ndcg": -1.0, "epoch": -1}
     epoch_times: list[float] = []
     last_tick = time.perf_counter()
@@ -130,17 +127,14 @@ def cmd_train(args) -> int:
         epoch_times.append(time.perf_counter() - last_tick)
         last_tick = time.perf_counter()
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            report = evaluate(emb, ds, ks, n_groups=min(10, ds.n_items))
+            report = evaluate(emb, ds, ks)
             select_k = selection_cutoff(ks)
             if report.ndcg[select_k] > best["ndcg"]:
                 best.update(ndcg=report.ndcg[select_k], epoch=epoch)
                 save_checkpoint(out_dir / "best.npz", emb,
                                 epoch=epoch, seed=cfg.train.rng_seed)
-            out = {}
-            for k in ks:
-                out[f"recall@{k}"] = report.recall[k]
-                out[f"ndcg@{k}"] = report.ndcg[k]
-            return out
+            values = [report.recall[k] for k in ks] + [report.ndcg[k] for k in ks]
+            return dict(zip(metric_cols, values))
         return None
 
     started = time.perf_counter()
@@ -153,7 +147,6 @@ def cmd_train(args) -> int:
         save_checkpoint(out_dir / "best.npz", emb,
                         epoch=cfg.train.epochs - 1, seed=cfg.train.rng_seed)
 
-    metric_cols = _metric_columns(ks)
     rows = []
     for entry in log:
         row = [entry["epoch"], repr(entry["mean_loss"])]
@@ -166,13 +159,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ks = _parse_int_list(args.ks)
-    if not ks or any(k < 1 for k in ks):
-        raise ConfigError("--ks must be positive integers")
-    _check_count("--n-groups", args.n_groups)
-    ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.train, args.test)
-    report = evaluate(ckpt.emb, ds, ks, n_groups=min(args.n_groups, ds.n_items))
+    ks = check_values("--ks", _parse_int_list(args.ks), 1)
+    check_range("--n-groups", args.n_groups, 1, math.inf)
+    emb, ds = _load_scored(args)
+    report = evaluate(emb, ds, ks, n_groups=args.n_groups)
     print(json.dumps(report_as_dict(report), indent=2, sort_keys=True))
     if args.out:
         _write_csv(Path(args.out), ["metric", "key", "value"], report_rows(report))
@@ -214,13 +204,10 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_dro_diagnose(args) -> int:
-    taus = _parse_float_list(args.taus)
-    if not taus or any(t <= 0 for t in taus):
-        raise ConfigError("--taus must be positive reals")
-    _check_count("--batches", args.batches)
-    _check_count("--n-negatives", args.n_negatives)
-    ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.train, args.test)
+    taus = check_values("--taus", _parse_float_list(args.taus), MIN_TAU)
+    check_range("--batches", args.batches, 1, math.inf)
+    check_range("--n-negatives", args.n_negatives, 1, math.inf)
+    emb, ds = _load_scored(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -236,7 +223,7 @@ def cmd_dro_diagnose(args) -> int:
     for b in range(args.batches):
         user = int(rng.choice(users_with_train))
         items = sample_negatives(sampler, ds, user, args.n_negatives)
-        scores, _ = cosine_score(ckpt.emb, user, items)
+        scores, _ = cosine_score(emb, user, items)
         base = np.full(items.size, 1.0 / items.size)
         for tau in taus:
             wc = worst_case_weights(scores, base, tau)
@@ -254,22 +241,20 @@ def cmd_dro_diagnose(args) -> int:
 
 
 def cmd_fairness_report(args) -> int:
-    _check_count("--n-groups", args.n_groups)
-    ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.train, args.test)
-    n_groups = min(args.n_groups, ds.n_items)
-    report = evaluate(ckpt.emb, ds, [20], n_groups=n_groups)
-    columns = {"group": list(range(n_groups)),
-               "ndcg_contribution": [repr(float(v)) for v in report.group_ndcg]}
-    summary = {"neg_score_variance": report.neg_score_variance,
-               "ndcg@20": report.ndcg[20]}
+    check_range("--n-groups", args.n_groups, 1, math.inf)
+    emb, ds = _load_scored(args)
+    # (column suffix, summary prefix, table): the model, then any baseline
+    models = [("", "", emb)]
     if args.baseline_checkpoint:
-        other = load_checkpoint(args.baseline_checkpoint)
-        base_report = evaluate(other.emb, ds, [20], n_groups=n_groups)
-        columns["ndcg_contribution_baseline"] = [repr(float(v))
-                                                 for v in base_report.group_ndcg]
-        summary["baseline_neg_score_variance"] = base_report.neg_score_variance
-        summary["baseline_ndcg@20"] = base_report.ndcg[20]
+        baseline = load_checkpoint(args.baseline_checkpoint).emb
+        models.append(("_baseline", "baseline_", baseline))
+    columns, summary = {}, {}
+    for suffix, prefix, table in models:
+        report = evaluate(table, ds, [20], n_groups=args.n_groups)
+        columns["group"] = list(range(report.group_ndcg.size))
+        columns[f"ndcg_contribution{suffix}"] = [repr(float(v)) for v in report.group_ndcg]
+        summary[f"{prefix}neg_score_variance"] = report.neg_score_variance
+        summary[f"{prefix}ndcg@20"] = report.ndcg[20]
     rows = list(zip(*columns.values()))
     if args.out:
         _write_csv(Path(args.out), list(columns.keys()), rows)
@@ -278,12 +263,13 @@ def cmd_fairness_report(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    # the split is built and validated before anything is written
+    ds, maps = (_load_remapped(args.train, args.test) if args.remap
+                else (load_dataset(args.train, args.test), {}))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.remap:
-        ds = _load_remapped(args.train, args.test, out_dir)
-    else:
-        ds = load_dataset(args.train, args.test)
+    for name, rows in maps.items():
+        _write_csv(out_dir / name, ["raw", "dense"], rows)
     save_dataset(ds, out_dir / "train.txt", out_dir / "test.txt")
     stats = {"n_users": ds.n_users, "n_items": ds.n_items,
              "n_train_interactions": ds.n_train_interactions,
@@ -293,8 +279,8 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _load_remapped(train_path, test_path, out_dir: Path) -> Dataset:
-    """Densify arbitrary integer ids and persist the mapping tables."""
+def _load_remapped(train_path, test_path) -> tuple[Dataset, dict]:
+    """Densify arbitrary integer ids; also return the (raw, dense) tables by file name."""
     from .data import _parse_adjacency
 
     train_map = _parse_adjacency(train_path)
@@ -302,15 +288,12 @@ def _load_remapped(train_path, test_path, out_dir: Path) -> Dataset:
     users = sorted(set(train_map) | set(test_map))
     items = sorted({i for lst in list(train_map.values()) + list(test_map.values())
                     for i in lst})
-    user_id = {u: n for n, u in enumerate(users)}
     item_id = {i: n for n, i in enumerate(items)}
-    _write_csv(out_dir / "user_map.csv", ["raw", "dense"],
-               [[u, user_id[u]] for u in users])
-    _write_csv(out_dir / "item_map.csv", ["raw", "dense"],
-               [[i, item_id[i]] for i in items])
     train = [[item_id[i] for i in train_map.get(u, [])] for u in users]
     test = [[item_id[i] for i in test_map.get(u, [])] for u in users]
-    return Dataset.from_positive_lists(train, test)
+    maps = {"user_map.csv": [[u, n] for n, u in enumerate(users)],
+            "item_map.csv": [[i, n] for n, i in enumerate(items)]}
+    return Dataset.from_positive_lists(train, test), maps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,6 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the configured rng seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flag sets that several subcommands share, each declared once
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--out", required=True)
+    for key in CONFIG_KEYS:
+        configured.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
+                                default=None, metavar="V",
+                                help=f"override config key {key}")
+    scored = argparse.ArgumentParser(add_help=False)
+    for flag in ("--checkpoint", "--train", "--test"):
+        scored.add_argument(flag, required=True)
+
     p = sub.add_parser("ingest", help="validate/normalize raw interaction files")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
@@ -330,53 +325,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="densify arbitrary integer ids and write mapping tables")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train a model from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    for key in CONFIG_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
-                       default=None, metavar="V",
-                       help=f"override config key {key}")
+    p = sub.add_parser("train", parents=[configured],
+                       help="train a model from a config file")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
+    p = sub.add_parser("evaluate", parents=[scored],
+                       help="evaluate a checkpoint on a split")
     p.add_argument("--ks", default="20", help="comma-separated cutoffs")
     p.add_argument("--n-groups", type=int, default=10)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("noise-sweep",
+    p = sub.add_parser("noise-sweep", parents=[configured],
                        help="train/evaluate over noise levels and sample counts")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--r-noise-values", default=None)
     p.add_argument("--n-negatives-values", default=None)
     p.add_argument("--pos-noise-values", default=None)
-    for key in CONFIG_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
-                       default=None, metavar="V")
     p.set_defaults(func=cmd_noise_sweep)
 
-    p = sub.add_parser("dro-diagnose",
+    p = sub.add_parser("dro-diagnose", parents=[scored],
                        help="emit worst-case weights and radius estimates")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
     p.add_argument("--taus", default="0.05,0.1,0.2,0.5")
     p.add_argument("--batches", type=int, default=1)
     p.add_argument("--n-negatives", type=int, default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dro_diagnose)
 
-    p = sub.add_parser("fairness-report",
+    p = sub.add_parser("fairness-report", parents=[scored],
                        help="per-popularity-group metric contributions")
-    p.add_argument("--checkpoint", required=True)
     p.add_argument("--baseline-checkpoint", default=None)
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
     p.add_argument("--n-groups", type=int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fairness_report)

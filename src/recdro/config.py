@@ -11,6 +11,32 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or missing required settings."""
 
 
+#: Temperatures below this are rejected; the tilt exp(score / tau) is no
+#: longer meaningful in float64 once tau underflows the score resolution.
+MIN_TAU = 1e-8
+
+
+def check_range(name: str, value, lo: float, hi: float) -> float:
+    """``float(value)`` if it is finite and ``lo <= value < hi``.
+
+    The one range rule for settings, flags and library arguments; NaN fails
+    it. A failure is a :class:`ConfigError` that names the setting.
+    """
+    if not (lo <= value < hi and math.isfinite(value)):
+        raise ConfigError(f"{name} must be finite and lie in [{lo:g}, {hi:g}), got {value}")
+    return float(value)
+
+
+def check_values(name: str, values, lo: float) -> tuple:
+    """``values`` as a tuple, if it is nonempty and every entry lies in ``[lo, inf)``."""
+    values = tuple(values)
+    if not values:
+        raise ConfigError(f"{name} must be nonempty")
+    for value in values:
+        check_range(name, value, lo, math.inf)
+    return values
+
+
 class LossKind(enum.Enum):
     BPR = "bpr"
     BCE = "bce"
@@ -58,10 +84,8 @@ class LossSpec:
 
     def validate(self) -> None:
         for name in ("tau", "tau_pos", "tau_neg"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.bce_mse_balance < 0:
-            raise ConfigError("bce_mse_balance must be >= 0")
+            check_range(name, getattr(self, name), MIN_TAU, math.inf)
+        check_range("bce_mse_balance", self.bce_mse_balance, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -82,24 +106,14 @@ class TrainConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.l2_reg < 0:
-            raise ConfigError("l2_reg must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.sampling_mode is SamplingMode.NEGATIVE_SAMPLING and self.n_negatives < 1:
-            raise ConfigError("n_negatives must be >= 1 in negative_sampling mode")
-        if self.sampling_mode is SamplingMode.IN_BATCH and self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 in in_batch mode")
-        if not 0 <= self.r_noise < math.inf:
-            raise ConfigError(f"r_noise must be a finite number >= 0, got {self.r_noise}")
-        if not 0 <= self.pos_noise_ratio < 1:
-            raise ConfigError("pos_noise_ratio must lie in [0, 1)")
+        in_batch = self.sampling_mode is SamplingMode.IN_BATCH
+        for name, lo in (("embedding_dim", 1), ("learning_rate", 0), ("l2_reg", 0),
+                         ("epochs", 0), ("batch_size", 2 if in_batch else 1),
+                         ("popularity_exponent", -math.inf), ("r_noise", 0)):
+            check_range(name, getattr(self, name), lo, math.inf)
+        if not in_batch:
+            check_range("n_negatives", self.n_negatives, 1, math.inf)
+        check_range("pos_noise_ratio", self.pos_noise_ratio, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -117,12 +131,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.train.validate()
         self.loss.validate()
-        if self.eval_every < 0:
-            raise ConfigError("eval_every must be >= 0")
-        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
-            raise ConfigError("eval_ks must be nonempty positive integers")
-        if not self.tau_grid or any(t <= 0 for t in self.tau_grid):
-            raise ConfigError("tau_grid must be nonempty positive reals")
+        check_range("eval_every", self.eval_every, 0, math.inf)
+        check_values("eval_ks", self.eval_ks, 1)
+        check_values("tau_grid", self.tau_grid, MIN_TAU)
 
 
 def _parse_enum(enum_cls):

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DEFAULT_TAU_GRID, LossKind, LossSpec, TrainConfig,
-                     spec_with_tau)
+from .config import (DEFAULT_TAU_GRID, MIN_TAU, LossKind, LossSpec, TrainConfig,
+                     check_values, spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
 from .model import (EmbeddingTable, _normalize_rows, cosine_score,
@@ -22,6 +22,9 @@ from .sampling import (SamplerState, complement_ids, prepare_dataset,
 
 #: Non-training items per evaluated user pooled into ``neg_score_variance``.
 VARIANCE_SAMPLES_PER_USER = 100
+#: Users, and the sampler seed, behind :func:`negative_radius_estimates`.
+RADIUS_USERS = 100
+RADIUS_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,17 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     exactly what :func:`~recdro.model.score_all_items` returns. Only the
     split's ``ds.n_items`` items are candidates: rows of a larger item table
     past the catalog are never ranked. A table with fewer users or items
-    than ``ds`` is a ``ValueError``.
+    than ``ds`` is a ``ValueError``. ``n_groups`` is clamped to
+    ``ds.n_items``, so ``group_ndcg`` has ``min(n_groups, ds.n_items)``
+    entries.
     """
-    ks = sorted(int(k) for k in ks)
-    if not ks or ks[0] < 1:
-        raise ValueError("ks must be nonempty positive integers")
+    ks = sorted(check_values("ks", (int(k) for k in ks), 1))
     if emb.n_users < ds.n_users or emb.n_items < ds.n_items:
         raise ValueError(f"embedding table of {emb.n_users} users x {emb.n_items} items "
                          f"is smaller than the dataset's {ds.n_users} x {ds.n_items}")
     kmax = ks[-1]
     group_cutoff = selection_cutoff(ks)
+    n_groups = min(n_groups, ds.n_items)
     groups = popularity_groups(ds, n_groups)
 
     eval_users = [u for u in range(ds.n_users) if ds.test_pos[u].size]
@@ -227,10 +231,11 @@ def grid_search_train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
     ``tau_param`` picks which LossSpec field the grid drives ("tau",
     "tau_pos" or "tau_neg"); "auto" resolves it from the loss kind, and
     ``None`` (or a temperature-free loss) collapses the grid to one run.
+    Every grid temperature is checked before the first one trains.
     """
     if tau_param == "auto":
         tau_param = default_tau_param(spec.kind)
-    grid = tuple(tau_grid) if tau_grid else DEFAULT_TAU_GRID
+    grid = check_values("tau_grid", tau_grid or DEFAULT_TAU_GRID, MIN_TAU)
     if tau_param is None:
         grid = (math.nan,)
     select_k = selection_cutoff(eval_ks)
@@ -251,18 +256,18 @@ def grid_search_train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
 
 
 def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig,
-                              tau: float, n_users: int = 100,
-                              seed: int = 7) -> np.ndarray:
+                              tau: float) -> np.ndarray:
     """Per-user implied KL radius of sampled negative-score batches.
 
-    For each of the first ``n_users`` users with training items, sample the
-    configured number of negatives, score them, and convert the score
-    variance into a radius at temperature ``tau`` (uniform base).
+    For each of the first ``RADIUS_USERS`` users with training items, sample
+    the configured number of negatives (sampler seeded with ``RADIUS_SEED``),
+    score them, and convert the score variance into a radius at temperature
+    ``tau`` (uniform base).
     """
-    sampler = SamplerState.for_config(ds, cfg, seed=seed)
+    sampler = SamplerState.for_config(ds, cfg, seed=RADIUS_SEED)
     out = []
     for u in range(ds.n_users):
-        if len(out) >= n_users:
+        if len(out) >= RADIUS_USERS:
             break
         if not ds.train_pos[u].size:
             continue
@@ -298,7 +303,8 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     count ``n_negatives_values``; an empty axis keeps ``cfg``'s setting, so
     without a pos-noise axis the split carries ``cfg.pos_noise_ratio``.
     Cells run pos-noise, then r_noise, then n_negatives. Every cell's config
-    passes :meth:`TrainConfig.validate` before the first cell trains.
+    passes :meth:`TrainConfig.validate`, and ``tau_grid`` the temperature
+    rule, before the first cell trains.
 
     Each row reports the best-temperature metrics at the selection cutoff and
     the mean/median implied radius of negative batches under that model,
@@ -323,8 +329,7 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     for p, r, n_neg, cell_cfg in cells:
         ds_p, cell_cfg = prepare_dataset(ds, cell_cfg)
         result = grid_search_train(ds_p, cell_cfg, spec, tau_grid=tau_grid,
-                                   tau_param=tau_param, eval_ks=eval_ks,
-                                   n_groups=min(10, ds_p.n_items))
+                                   tau_param=tau_param, eval_ks=eval_ks)
         if eta_param is None:
             eta_mean = eta_median = float("nan")
         else:

@@ -16,15 +16,12 @@ Conventions shared by the softmax family:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BslForm, LossKind, LossSpec
-
-#: Temperatures below this are rejected; the tilt exp(score / tau) is no
-#: longer meaningful in float64 once tau underflows the score resolution.
-MIN_TAU = 1e-8
+from .config import MIN_TAU, BslForm, LossKind, LossSpec, check_range
 
 
 @dataclass
@@ -110,13 +107,6 @@ def _logsumexp_softmax(x: np.ndarray, axis: int = -1):
     return (m + np.log(total)).squeeze(axis), e / total
 
 
-def _check_tau(tau: float, name: str = "tau") -> float:
-    tau = float(tau)
-    if not tau >= MIN_TAU:
-        raise ValueError(f"{name} must be >= {MIN_TAU}")
-    return tau
-
-
 def bpr_loss(batch: ScoreBatch) -> LossResult:
     """Pairwise log-sigmoid ranking loss.
 
@@ -170,7 +160,7 @@ def softmax_loss(batch: ScoreBatch, tau: float) -> LossResult:
     vector of that row at temperature ``tau`` (divided by the batch size), so
     hard negatives receive proportionally more pressure.
     """
-    tau = _check_tau(tau)
+    tau = check_range("tau", tau, MIN_TAU, math.inf)
     n = batch.n_examples
     lse, weights = _logsumexp_softmax(batch.neg_scores / tau, axis=1)
     value = float(np.mean(-batch.pos_scores + tau * lse))
@@ -188,7 +178,7 @@ def softmax_loss_no_variance(batch: ScoreBatch, tau: float) -> LossResult:
     linear term, so every negative receives the same uniform gradient
     regardless of its score.
     """
-    tau = _check_tau(tau)
+    tau = check_range("tau", tau, MIN_TAU, math.inf)
     n, m = batch.n_examples, batch.n_negatives
     value = float(np.mean(-batch.pos_scores + batch.neg_scores.mean(axis=1)))
     grad_pos = np.full(n, -1.0 / n)
@@ -219,8 +209,8 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
       averaged over rows. With ``tau_pos == tau_neg`` this is the softmax
       loss scaled by ``1 / tau_pos``, so gradient directions coincide.
     """
-    tau_pos = _check_tau(tau_pos, "tau_pos")
-    tau_neg = _check_tau(tau_neg, "tau_neg")
+    tau_pos = check_range("tau_pos", tau_pos, MIN_TAU, math.inf)
+    tau_neg = check_range("tau_neg", tau_neg, MIN_TAU, math.inf)
     n = batch.n_examples
 
     if form is BslForm.PSEUDOCODE:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import NegSampler, TrainConfig
+from .config import NegSampler, TrainConfig, check_range
 from .data import Dataset
 
 logger = logging.getLogger(__name__)
@@ -30,8 +30,7 @@ class SamplerState:
     popularity_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 <= self.r_noise < math.inf:
-            raise ValueError(f"r_noise must be a finite number >= 0, got {self.r_noise}")
+        check_range("r_noise", self.r_noise, 0, math.inf)
         has_weights = self.popularity_weights is not None
         if (self.mode is NegSampler.POPULARITY) != has_weights:
             raise ValueError("popularity_weights must be given exactly in popularity mode")

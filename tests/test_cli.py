@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import math
@@ -6,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from recdro.cli import main
+from recdro.cli import build_parser, main
 from recdro.data import load_dataset, save_dataset
 from recdro.dro import worst_case_weights
 from recdro.evaluate import evaluate, report_as_dict
@@ -566,3 +567,106 @@ def test_ingest_write_failing_midway_leaves_previous_outputs(tmp_path, monkeypat
     monkeypatch.setattr(json, "dump", failing_dump)
     assert main(argv) == 1
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+BAD_TAUS = ["nan", "inf", "1e-9", "0", "-1"]
+
+
+@pytest.mark.parametrize("key", ["tau", "tau_pos", "tau_neg", "tau_grid"])
+@pytest.mark.parametrize("value", BAD_TAUS)
+@pytest.mark.parametrize("command, argv", [
+    ("train", []), ("noise-sweep", ["--r-noise-values", "0"]),
+])
+def test_temperature_outside_the_loss_range_exits_2_with_no_output(
+        tmp_path, capsys, command, argv, key, value):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, loss="bsl", **{key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", BAD_TAUS)
+def test_dro_diagnose_taus_outside_the_loss_range_exits_2_with_no_files(
+        tmp_path, capsys, value):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, epochs="1", eval_every="0")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    diag = tmp_path / "diag"
+    assert main(["dro-diagnose", "--checkpoint", str(tmp_path / "out" / "last.npz"),
+                 "--train", str(tmp_path / "train.txt"),
+                 "--test", str(tmp_path / "test.txt"),
+                 "--taus", f"0.1,{value}", "--out", str(diag)]) == 2
+    assert "--taus" in capsys.readouterr().err
+    assert not diag.exists()
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "l2_reg", "popularity_exponent",
+                                 "bce_mse_balance"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_setting_exits_2_with_no_output(tmp_path, capsys, key, value):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, neg_sampler="popularity", **{key: value})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestIngestValidatesBeforeWriting:
+    def write_raw(self, tmp_path, train, test):
+        (tmp_path / "raw_train.txt").write_text(train)
+        (tmp_path / "raw_test.txt").write_text(test)
+        return ["--train", str(tmp_path / "raw_train.txt"),
+                "--test", str(tmp_path / "raw_test.txt")]
+
+    @pytest.mark.parametrize("remap", [[], ["--remap"]])
+    def test_overlapping_split_writes_nothing(self, tmp_path, capsys, remap):
+        files = self.write_raw(tmp_path, "10 5 6\n20 7\n", "10 6\n20 8\n")
+        out = tmp_path / "ingested"
+        assert main(["ingest", *files, "--out", str(out), *remap]) == 1
+        assert "overlapping" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("remap", [[], ["--remap"]])
+    def test_non_integer_token_writes_nothing(self, tmp_path, remap):
+        files = self.write_raw(tmp_path, "10 5 x\n", "10 6\n")
+        out = tmp_path / "ingested"
+        assert main(["ingest", *files, "--out", str(out), *remap]) == 1
+        assert not out.exists()
+
+
+CONFIG_FLAGS = [
+    "--batch-size", "--bce-mse-balance", "--bsl-form", "--config", "--embedding-dim",
+    "--epochs", "--eval-every", "--eval-ks", "--learning-rate", "--l2-reg", "--loss",
+    "--n-negatives", "--neg-sampler", "--out", "--popularity-exponent",
+    "--pos-noise-ratio", "--r-noise", "--rng-seed", "--sampling-mode", "--tau",
+    "--tau-grid", "--tau-neg", "--tau-pos", "--test-file", "--train-file",
+]
+SCORED_FLAGS = ["--checkpoint", "--test", "--train"]
+
+
+@pytest.mark.parametrize("command, options, required", [
+    ("ingest", ["--out", "--remap", "--test", "--train"], ["--out", "--test", "--train"]),
+    ("train", CONFIG_FLAGS, ["--config", "--out"]),
+    ("evaluate", SCORED_FLAGS + ["--ks", "--n-groups", "--out"], SCORED_FLAGS),
+    ("noise-sweep", CONFIG_FLAGS + ["--n-negatives-values", "--pos-noise-values",
+                                    "--r-noise-values"], ["--config", "--out"]),
+    ("dro-diagnose", SCORED_FLAGS + ["--batches", "--n-negatives", "--out", "--taus"],
+     SCORED_FLAGS + ["--out"]),
+    ("fairness-report", SCORED_FLAGS + ["--baseline-checkpoint", "--n-groups", "--out"],
+     SCORED_FLAGS),
+])
+def test_flag_surface(command, options, required):
+    parser = build_parser()
+    assert sorted(s for a in parser._actions for s in a.option_strings) == [
+        "--help", "--seed", "-h"]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["ingest", "train", "evaluate", "noise-sweep",
+                                 "dro-diagnose", "fairness-report"]
+    actions = sub.choices[command]._actions
+    assert sorted(s for a in actions for s in a.option_strings) == sorted(
+        options + ["--help", "-h"])
+    assert sorted(s for a in actions if a.required for s in a.option_strings) == sorted(
+        required)

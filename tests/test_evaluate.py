@@ -398,3 +398,41 @@ class TestNoiseSweep:
         clean = noise_sweep(ds, self.cfg(), spec, [0.0], tau_grid=(0.2,))
         assert rows == expected
         assert rows != clean
+
+
+class TestGroupCountClamp:
+    """``evaluate`` clamps ``n_groups`` to the catalog; its callers do not."""
+
+    def fixture(self):
+        ds = planted_clusters(n_users=30, n_items=6, p_in=0.6, seed=4)
+        assert ds.n_items == 6
+        return ds
+
+    def test_evaluate_default_groups_on_a_small_catalog(self):
+        ds = self.fixture()
+        emb = embedding_for(ds, seed=3)
+        report = evaluate(emb, ds, [5, 20])
+        assert report.group_ndcg.shape == (6,)
+        assert report_as_dict(report) == report_as_dict(evaluate(emb, ds, [5, 20], n_groups=6))
+
+    def test_grid_search_default_groups_on_a_small_catalog(self):
+        ds = self.fixture()
+        cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=2,
+                          batch_size=64, n_negatives=3, rng_seed=2)
+        spec = LossSpec(kind=LossKind.SL, tau=0.2)
+        result = grid_search_train(ds, cfg, spec, tau_grid=(0.2,))
+        explicit = grid_search_train(ds, cfg, spec, tau_grid=(0.2,), n_groups=6)
+        assert report_as_dict(result.report) == report_as_dict(explicit.report)
+        assert result.report.group_ndcg.shape == (6,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-9, 0.0, -1.0])
+def test_noise_sweep_tau_grid_checked_before_training(monkeypatch, bad):
+    trained = []
+    monkeypatch.setattr(evaluate_module, "train",
+                        lambda *args, **kwargs: trained.append(args))
+    ds = planted_clusters(n_users=20, n_items=15, seed=1)
+    with pytest.raises(ConfigError, match="tau_grid"):
+        noise_sweep(ds, TrainConfig(epochs=1, embedding_dim=4), LossSpec(kind=LossKind.SL),
+                    [0.0, 0.5], tau_grid=(0.1, bad))
+    assert trained == []
