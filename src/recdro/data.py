@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_range
+
 
 class DataFormatError(ValueError):
     """Raised when an interaction file or positive-list payload is malformed."""
@@ -186,10 +188,7 @@ def popularity_groups(ds: Dataset, n_groups: int) -> np.ndarray:
     split into contiguous buckets whose sizes differ by at most one. Larger
     group ids hold more popular items.
     """
-    if n_groups < 1:
-        raise ValueError("n_groups must be >= 1")
-    if n_groups > ds.n_items:
-        raise ValueError(f"n_groups={n_groups} exceeds n_items={ds.n_items}")
+    check_range("n_groups", n_groups, 1, ds.n_items + 1)
     order = np.lexsort((np.arange(ds.n_items), ds.item_popularity))
     groups = np.empty(ds.n_items, dtype=np.int64)
     for gid, chunk in enumerate(np.array_split(order, n_groups)):

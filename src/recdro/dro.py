@@ -16,16 +16,19 @@ the dual's first term expands to E[f] + Var[f] / (2 tau) + O(1/tau^2), which
 links the temperature and the radius through tau* ~ sqrt(Var / (2 eta)).
 
 All functions take an explicit base distribution; nothing here silently
-converts between tau and eta.
+converts between tau and eta. Float arguments obey the one range rule,
+:func:`recdro.config.check_range`; temperatures take the losses' MIN_TAU floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import MIN_TAU, check_range
 from .losses import logsumexp, softmax
 
 #: |KL(w || base) - eta| target for the bisection in kl_ball_sup.
@@ -86,9 +89,7 @@ def worst_case_weights(scores, base, tau: float) -> WorstCaseDistribution:
     temperatures concentrate the mass on the highest-scoring entries.
     """
     scores, base = _validate_base(scores, base)
-    tau = float(tau)
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau = check_range("tau", tau, MIN_TAU, math.inf)
     weights = _tilt(scores, base, tau)
     return WorstCaseDistribution(weights=weights,
                                  kl_radius=kl_divergence(weights, base),
@@ -98,12 +99,8 @@ def worst_case_weights(scores, base, tau: float) -> WorstCaseDistribution:
 def dual_value(scores, base, tau: float, eta: float) -> float:
     """Dual upper bound: tau * log E_base[exp(scores / tau)] + tau * eta."""
     scores, base = _validate_base(scores, base)
-    tau = float(tau)
-    eta = float(eta)
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    tau = check_range("tau", tau, MIN_TAU, math.inf)
+    eta = check_range("eta", eta, 0, math.inf)
     return float(tau * logsumexp(np.log(base) + scores / tau) + tau * eta)
 
 
@@ -120,12 +117,10 @@ def kl_ball_sup(scores, base, eta: float) -> KlBallSupremum:
     -log of the base mass on the argmax set, as tau -> 0, down to 0), so the
     binding constraint pins a unique temperature. When ``eta`` meets or
     exceeds the tau -> 0 limit, the result clamps to that limit: all mass on
-    the maximal scores, proportional to the base.
+    the maximal scores, proportional to the base. ``eta`` must be finite.
     """
     scores, base = _validate_base(scores, base)
-    eta = float(eta)
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    eta = check_range("eta", eta, 0, math.inf)
     if eta == 0 or np.all(scores == scores[0]):
         return KlBallSupremum(float(base @ scores), base.copy())
 
@@ -183,9 +178,7 @@ def taylor_negative_part(scores, base, tau: float) -> float:
     Returns E_base[scores] + Var_base[scores] / (2 tau); the gap to the exact
     tau * log E exp(scores / tau) shrinks as O(1/tau^2).
     """
-    tau = float(tau)
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau = check_range("tau", tau, MIN_TAU, math.inf)
     mean, var = base_mean_and_variance(scores, base)
     return mean + var / (2.0 * tau)
 
@@ -196,12 +189,9 @@ def tau_star(variance: float, eta: float) -> float:
     tau* = sqrt(variance / (2 eta)); the approximate minimizer of the dual
     bound when the radius is small.
     """
-    variance = float(variance)
-    eta = float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    # the smallest positive float as the floor: eta must be > 0
+    eta = check_range("eta", eta, math.ulp(0.0), math.inf)
+    variance = check_range("variance", variance, 0, math.inf)
     return float(np.sqrt(variance / (2.0 * eta)))
 
 
@@ -210,8 +200,6 @@ def estimate_eta(scores, base, tau: float) -> float:
 
     Returns Var_base[scores] / (2 tau^2).
     """
-    tau = float(tau)
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau = check_range("tau", tau, MIN_TAU, math.inf)
     _, var = base_mean_and_variance(scores, base)
     return var / (2.0 * tau * tau)

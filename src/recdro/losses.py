@@ -83,28 +83,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted log-sum-exp along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m.squeeze(axis) + np.log(np.sum(np.exp(x - m), axis=axis))
-    return out
+    return _logsumexp_softmax(x, axis)[0]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return _logsumexp_softmax(x, axis)[1]
 
 
 def _logsumexp_softmax(x: np.ndarray, axis: int = -1):
-    """``(logsumexp(x, axis), softmax(x, axis))`` from one max-shifted exp.
-
-    Both results carry exactly the bits of the two separate functions.
-    """
+    """``(logsumexp(x, axis), softmax(x, axis))`` from one max-shifted exp:
+    the one log-sum-exp kernel, of which the two functions are the halves."""
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     total = np.sum(e, axis=axis, keepdims=True)
-    return (m + np.log(total)).squeeze(axis), e / total
+    return m.squeeze(axis) + np.log(total.squeeze(axis)), e / total
 
 
 def bpr_loss(batch: ScoreBatch) -> LossResult:
@@ -128,9 +121,7 @@ def bce_loss(batch: ScoreBatch, balance: float) -> LossResult:
 
     value = mean[-log sigmoid(pos)] + balance * mean[-log(1 - sigmoid(neg))].
     """
-    balance = float(balance)
-    if balance < 0:
-        raise ValueError("balance must be >= 0")
+    balance = check_range("balance", balance, 0, math.inf)
     n, m = batch.n_examples, batch.n_negatives
     value = float(np.mean(softplus(-batch.pos_scores))
                   + balance * np.mean(softplus(batch.neg_scores)))
@@ -141,9 +132,7 @@ def bce_loss(batch: ScoreBatch, balance: float) -> LossResult:
 
 def mse_loss(batch: ScoreBatch, balance: float) -> LossResult:
     """Squared-error regression toward labels 1 (positives) and 0 (negatives)."""
-    balance = float(balance)
-    if balance < 0:
-        raise ValueError("balance must be >= 0")
+    balance = check_range("balance", balance, 0, math.inf)
     n, m = batch.n_examples, batch.n_negatives
     value = float(np.mean((batch.pos_scores - 1.0) ** 2)
                   + balance * np.mean(batch.neg_scores ** 2))

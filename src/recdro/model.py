@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .config import (BslForm, ConfigError, LossKind, LossSpec, NegSampler,
-                     SamplingMode, TrainConfig)
+                     SamplingMode, TrainConfig, check_range)
 from .data import Dataset, atomic_open
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
 from .sampling import SamplerState, sample_negatives, sample_negatives_batch
@@ -50,8 +51,7 @@ class EmbeddingTable:
 
 def init_embeddings(n_users: int, n_items: int, d: int, seed: int) -> EmbeddingTable:
     """Xavier-uniform init: entries in +-sqrt(6 / (d + d)), deterministic per seed."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_range("d", d, 1, math.inf)
     bound = math.sqrt(6.0 / (d + d))
     rng = np.random.default_rng(seed)
     user_vecs = rng.uniform(-bound, bound, size=(n_users, d))
@@ -160,18 +160,18 @@ class AdamState:
     m_item: np.ndarray
     v_item: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    #: The moment decay rates and the denominator guard. They are fixed;
+    #: checkpoints record them as ``adam_hyper`` and must match them.
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     @classmethod
-    def for_table(cls, emb: EmbeddingTable, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_table(cls, emb: EmbeddingTable) -> "AdamState":
         return cls(m_user=np.zeros_like(emb.user_vecs),
                    v_user=np.zeros_like(emb.user_vecs),
                    m_item=np.zeros_like(emb.item_vecs),
-                   v_item=np.zeros_like(emb.item_vecs),
-                   beta1=beta1, beta2=beta2, eps=eps)
+                   v_item=np.zeros_like(emb.item_vecs))
 
     def _update_rows(self, param, m, v, rows, grads, lr):
         # rows are unique, so the gathered moments are what m[rows]/v[rows] hold
@@ -504,11 +504,12 @@ def load_checkpoint(path) -> Checkpoint:
             seed = int(data["seed"])
             adam = None
             if "m_user" in data.files:
-                b1, b2, eps = data["adam_hyper"]
+                hyper = tuple(data["adam_hyper"].tolist())
+                if hyper != (AdamState.beta1, AdamState.beta2, AdamState.eps):
+                    raise CheckpointError(f"unsupported Adam hyperparameters {hyper}")
                 adam = AdamState(m_user=data["m_user"].copy(), v_user=data["v_user"].copy(),
                                  m_item=data["m_item"].copy(), v_item=data["v_item"].copy(),
-                                 step=int(data["adam_step"]),
-                                 beta1=float(b1), beta2=float(b2), eps=float(eps))
+                                 step=int(data["adam_step"]))
     except CheckpointError:
         raise
     except Exception as exc:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import NegSampler, TrainConfig, check_range
+from .config import ConfigError, NegSampler, TrainConfig, check_range
 from .data import Dataset
 
 logger = logging.getLogger(__name__)
@@ -35,14 +35,7 @@ class SamplerState:
         if (self.mode is NegSampler.POPULARITY) != has_weights:
             raise ValueError("popularity_weights must be given exactly in popularity mode")
         if has_weights:
-            w = np.asarray(self.popularity_weights, dtype=np.float64)
-            with np.errstate(over="ignore"):
-                total = w.sum()
-            if not (np.all(np.isfinite(w)) and math.isfinite(total)):
-                raise ValueError("popularity weights and their total must be finite")
-            if np.any(w < 0) or not np.any(w > 0):
-                raise ValueError("popularity weights must be nonnegative and not all zero")
-            self.popularity_weights = w
+            self.popularity_weights = check_popularity_weights(self.popularity_weights)
 
     @classmethod
     def create(cls, seed: int, mode: NegSampler = NegSampler.UNIFORM,
@@ -60,6 +53,19 @@ class SamplerState:
                                                      cfg.popularity_exponent)
         return cls.create(seed=seed, mode=cfg.neg_sampler, r_noise=cfg.r_noise,
                           popularity_weights=weights)
+
+
+def check_popularity_weights(weights) -> np.ndarray:
+    """``weights`` as float64, if they are finite, nonnegative and not all
+    zero, with a finite total; otherwise a :class:`ConfigError`."""
+    w = np.asarray(weights, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not (np.all(np.isfinite(w)) and math.isfinite(total)):
+        raise ConfigError("popularity weights and their total must be finite")
+    if np.any(w < 0) or not np.any(w > 0):
+        raise ConfigError("popularity weights must be nonnegative and not all zero")
+    return w
 
 
 def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.ndarray:
@@ -226,8 +232,7 @@ def _popularity_draw(rng: np.random.Generator, p: np.ndarray, k: int) -> np.ndar
 
 def positive_fraction(r_noise: float, n_pos: int, n_neg: int) -> float:
     """Closed-form probability that a single uniform-mode draw is a positive."""
-    if r_noise < 0:
-        raise ValueError("r_noise must be >= 0")
+    check_range("r_noise", r_noise, 0, math.inf)
     denom = r_noise * n_pos + n_neg
     if denom <= 0:
         raise ValueError("empty sampling support")
@@ -243,8 +248,7 @@ def contaminate_positives(ds: Dataset, ratio: float, seed: int) -> Dataset:
     dataset is untouched. Users with too few available negatives get as many
     as exist; the total shortfall is logged as a warning.
     """
-    if not 0 <= ratio < 1:
-        raise ValueError("ratio must lie in [0, 1)")
+    check_range("ratio", ratio, 0, 1)
     rng = np.random.default_rng(seed)
     new_train = []
     shortfall = 0
@@ -275,10 +279,16 @@ def prepare_dataset(ds: Dataset, cfg: TrainConfig) -> tuple[Dataset, TrainConfig
     (seeded with ``cfg.rng_seed``), or ``ds`` itself at ratio 0; the config is
     ``cfg`` with that ratio spent (0). This is the only place the ratio acts:
     :func:`~recdro.model.train` rejects a config that still carries one.
+
+    A popularity sampler's weights on the returned split are checked here, so
+    an exponent this data cannot take fails before anything trains.
     """
     if cfg.pos_noise_ratio > 0:
-        return (contaminate_positives(ds, cfg.pos_noise_ratio, cfg.rng_seed),
-                replace(cfg, pos_noise_ratio=0.0))
+        ds, cfg = (contaminate_positives(ds, cfg.pos_noise_ratio, cfg.rng_seed),
+                   replace(cfg, pos_noise_ratio=0.0))
+    if cfg.neg_sampler is NegSampler.POPULARITY:
+        check_popularity_weights(popularity_weights_from_counts(
+            ds.item_popularity, cfg.popularity_exponent))
     return ds, cfg
 
 

@@ -670,3 +670,16 @@ def test_flag_surface(command, options, required):
         options + ["--help", "-h"])
     assert sorted(s for a in actions if a.required for s in a.option_strings) == sorted(
         required)
+
+
+def test_popularity_exponent_the_split_cannot_take_exits_2_with_no_output(tmp_path, capsys):
+    # item 3 occurs only in the test file: it has no training interactions,
+    # so the exponent -1 gives it an infinite sampling weight
+    (tmp_path / "train.txt").write_text("0 0 1\n1 1 2\n2 0 2\n")
+    (tmp_path / "test.txt").write_text("0 3\n1 3\n")
+    cfg = write_config(tmp_path, neg_sampler="popularity", popularity_exponent="-1",
+                       n_negatives="2")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "popularity weights" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,10 @@ def test_empty_item_lists_stay_valid():
     assert (ds.n_users, ds.n_items) == (3, 3)
     assert [a.tolist() for a in ds.train_pos] == [[], [2], []]
     assert all(a.dtype == np.int64 for a in ds.train_pos + ds.test_pos)
+
+
+@pytest.mark.parametrize("n_groups", [math.nan, math.inf, 0, 5])
+def test_popularity_groups_outside_one_to_n_items_is_a_config_error(n_groups):
+    ds = Dataset.from_positive_lists([[0, 1], [1, 2, 3]], [[], []])
+    with pytest.raises(ConfigError, match="^n_groups must"):
+        popularity_groups(ds, n_groups)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from recdro.config import MIN_TAU, ConfigError
 from recdro.dro import (base_mean_and_variance, dual_value, estimate_eta,
                         kl_ball_sup, kl_divergence, taylor_negative_part,
                         tau_star, worst_case_weights)
@@ -276,3 +277,38 @@ class TestTemperatureRadiusLink:
 def test_kl_divergence_basics():
     assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2))
+
+
+_SCORES, _BASE = [0.1, 0.5, -0.2], [0.25, 0.5, 0.25]
+# (argument name, call with that argument set to v, values outside its range)
+_RANGE_CASES = {
+    "worst_case_weights": ("tau", lambda v: worst_case_weights(_SCORES, _BASE, v),
+                           [math.nan, math.inf, 1e-9]),
+    "dual_value/tau": ("tau", lambda v: dual_value(_SCORES, _BASE, v, 0.1),
+                       [math.nan, math.inf, 1e-9]),
+    "dual_value/eta": ("eta", lambda v: dual_value(_SCORES, _BASE, 0.1, v),
+                       [math.nan, math.inf]),
+    "kl_ball_sup": ("eta", lambda v: kl_ball_sup(_SCORES, _BASE, v), [math.nan, math.inf]),
+    "taylor_negative_part": ("tau", lambda v: taylor_negative_part(_SCORES, _BASE, v),
+                             [math.nan, math.inf, 1e-9]),
+    "estimate_eta": ("tau", lambda v: estimate_eta(_SCORES, _BASE, v),
+                     [math.nan, math.inf, 1e-9]),
+    "tau_star/variance": ("variance", lambda v: tau_star(v, 0.1), [math.nan, math.inf]),
+    "tau_star/eta": ("eta", lambda v: tau_star(1.0, v), [math.nan, math.inf]),
+}
+
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{case}={value:g}")
+    for case, (_, _, values) in _RANGE_CASES.items() for value in values])
+def test_argument_outside_the_range_rule_is_a_config_error(case, value):
+    """NaN, an infinite value and a temperature under the losses' floor all
+    fail by name; none returns a NaN or a silent limit."""
+    name, call, _ = _RANGE_CASES[case]
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        call(value)
+
+
+def test_temperature_floor_is_the_losses_floor():
+    assert worst_case_weights(_SCORES, _BASE, MIN_TAU).weights.argmax() == 1
+    assert estimate_eta(_SCORES, _BASE, MIN_TAU) > 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from recdro.config import BslForm
+from recdro.config import BslForm, ConfigError
 from recdro.dro import dual_value
 from recdro.losses import (LossResult, ScoreBatch, bce_loss, bpr_loss, bsl_loss,
                            logsumexp, mse_loss, softmax, softmax_loss,
@@ -411,3 +411,22 @@ class TestCanonicalBslAtTrainingShape:
         assert res.value == value
         assert np.array_equal(res.grad_pos, grad_pos)
         assert np.array_equal(res.grad_neg, grad_neg)
+
+
+@pytest.mark.parametrize("loss", [bce_loss, mse_loss])
+@pytest.mark.parametrize("balance", [math.nan, math.inf, -math.inf])
+def test_pointwise_balance_outside_range_is_a_config_error(loss, balance):
+    with pytest.raises(ConfigError, match="^balance must"):
+        loss(ScoreBatch([0.1, 0.4], [[0.2], [-0.3]]), balance)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_logsumexp_and_softmax_equal_their_formulas_bit_for_bit(axis):
+    x = np.random.default_rng(33).normal(scale=20.0, size=(3, 5, 4))
+    m = np.max(x, axis=axis, keepdims=True)
+    lse = m.squeeze(axis) + np.log(np.sum(np.exp(x - m), axis=axis))
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    assert np.array_equal(logsumexp(x, axis), lse)
+    assert np.array_equal(softmax(x, axis), e / np.sum(e, axis=axis, keepdims=True))
+    # a vector still reduces to a numpy scalar, not a 0-d array
+    assert type(logsumexp(x[0, 0])) is np.float64

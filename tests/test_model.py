@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import recdro.model as model_mod
-from recdro.config import (BslForm, LossKind, LossSpec, NegSampler, SamplingMode,
-                           TrainConfig)
+from recdro.config import (BslForm, ConfigError, LossKind, LossSpec, NegSampler,
+                           SamplingMode, TrainConfig)
 from recdro.data import Dataset
 from recdro.losses import LossResult, ScoreBatch, bsl_loss, loss_fn_from_spec
 from recdro.model import (AdamState, CheckpointError, EmbeddingTable,
@@ -640,3 +640,22 @@ def test_popularity_training_is_seed_deterministic(r_noise):
     assert np.array_equal(a.item_vecs, b.item_vecs)
     assert log_a == log_b
     assert not np.array_equal(a.item_vecs, c.item_vecs)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, 0])
+def test_init_embeddings_dimension_outside_its_range_is_a_config_error(d):
+    with pytest.raises(ConfigError, match="^d must"):
+        init_embeddings(3, 4, d, seed=0)
+
+
+def test_checkpoint_with_foreign_adam_hyperparameters_is_refused(tmp_path):
+    emb = init_embeddings(3, 4, 2, seed=0)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, emb, epoch=0, seed=0, adam=AdamState.for_table(emb))
+    with np.load(path) as data:
+        payload = dict(data)
+    assert list(payload["adam_hyper"]) == [AdamState.beta1, AdamState.beta2, AdamState.eps]
+    payload["adam_hyper"] = np.array([0.8, 0.999, 1e-8])
+    np.savez(path, **payload)
+    with pytest.raises(CheckpointError, match="Adam hyperparameters"):
+        load_checkpoint(path)

@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from recdro.config import NegSampler
+from recdro.config import ConfigError, NegSampler, TrainConfig
 from recdro.data import Dataset
 from recdro.sampling import (SamplerState, contaminate_positives,
                              in_batch_negatives, positive_fraction,
-                             popularity_weights_from_counts, sample_negatives,
-                             sample_negatives_batch)
+                             popularity_weights_from_counts, prepare_dataset,
+                             sample_negatives, sample_negatives_batch)
 from recdro.synthetic import random_interactions
 
 
@@ -452,3 +452,40 @@ class TestSampleNegativesBatch:
         st.popularity_weights[1] = np.nan  # corrupted after validation
         with pytest.raises(ValueError, match="non-finite"):
             sample_negatives_batch(st, ds, np.array([0, 1]), 2)
+
+
+@pytest.mark.parametrize("r_noise", [math.nan, math.inf])
+def test_positive_fraction_rejects_non_finite_r_noise(r_noise):
+    with pytest.raises(ConfigError, match="^r_noise must"):
+        positive_fraction(r_noise, 10, 90)
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, -0.1, 1.0])
+def test_contamination_ratio_outside_its_range_is_a_config_error(ratio):
+    with pytest.raises(ConfigError, match="^ratio must"):
+        contaminate_positives(one_user_dataset(10, 3), ratio, seed=0)
+
+
+class TestPrepareDatasetChecksPopularityWeights:
+    # item 1 has no training interactions, so a negative exponent weighs it inf
+    DS = Dataset.from_positive_lists([[0]], [[]], n_items=2)
+
+    def cfg(self, **kwargs):
+        return TrainConfig(neg_sampler=NegSampler.POPULARITY, **kwargs)
+
+    def test_weight_the_split_cannot_take_is_a_config_error(self):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ConfigError, match="popularity weights"):
+                prepare_dataset(self.DS, self.cfg(popularity_exponent=-1.0))
+        assert prepare_dataset(self.DS, self.cfg(popularity_exponent=1.0))[0] is self.DS
+
+    def test_weights_are_checked_on_the_contaminated_split(self):
+        # the one injected false positive is item 1, which then has a count
+        ds, _ = prepare_dataset(self.DS, self.cfg(popularity_exponent=-1.0,
+                                                  pos_noise_ratio=0.5))
+        assert list(ds.item_popularity) == [1, 1]
+
+    def test_sampler_state_raises_the_same_error(self):
+        with pytest.raises(ConfigError, match="finite"):
+            SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
+                                popularity_weights=[1.0, np.inf])
