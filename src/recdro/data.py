@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -105,19 +106,31 @@ class Dataset:
                    train_pos=tuple(train_arrs), test_pos=tuple(test_arrs),
                    item_popularity=np.bincount(flat_train, minlength=n_items))
 
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """Row offsets of the training lists as one CSR: user ``u``'s
+        positives are ``indices[indptr[u]:indptr[u + 1]]``.
+
+        The CSR is built on first use, never at construction.
+        """
+        indptr = np.zeros(len(self.train_pos) + 1, dtype=np.int64)
+        np.cumsum([a.size for a in self.train_pos], out=indptr[1:])
+        return indptr
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Every training list, concatenated in user order (see :attr:`indptr`)."""
+        return np.concatenate([np.empty(0, np.int64), *self.train_pos])
+
     @property
     def n_train_interactions(self) -> int:
-        return int(sum(a.size for a in self.train_pos))
+        return int(self.indptr[-1])
 
     def train_pairs(self) -> np.ndarray:
         """All (user, item) training interactions as an (n, 2) array."""
-        if self.n_train_interactions == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        users = np.repeat(np.arange(self.n_users, dtype=np.int64),
-                          [a.size for a in self.train_pos])
-        items = np.concatenate([a for a in self.train_pos if a.size]
-                               or [np.empty(0, np.int64)])
-        return np.stack([users, items], axis=1)
+        users = np.repeat(np.arange(self.indptr.size - 1, dtype=np.int64),
+                          np.diff(self.indptr))
+        return np.stack([users, self.indices], axis=1)
 
     def equals(self, other: "Dataset") -> bool:
         if (self.n_users, self.n_items) != (other.n_users, other.n_items):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import MIN_TAU, check_range
+from .config import MIN_TAU, ConfigError, check_range
 from .losses import logsumexp, softmax
 
 #: |KL(w || base) - eta| target for the bisection in kl_ball_sup.
@@ -187,12 +187,17 @@ def tau_star(variance: float, eta: float) -> float:
     """Closed-form temperature that balances a score variance against a radius.
 
     tau* = sqrt(variance / (2 eta)); the approximate minimizer of the dual
-    bound when the radius is small.
+    bound when the radius is small. A radius so small that tau* overflows is
+    a :class:`ConfigError` naming ``eta``.
     """
     # the smallest positive float as the floor: eta must be > 0
     eta = check_range("eta", eta, math.ulp(0.0), math.inf)
     variance = check_range("variance", variance, 0, math.inf)
-    return float(np.sqrt(variance / (2.0 * eta)))
+    tau = math.sqrt(variance / (2.0 * eta))
+    if not math.isfinite(tau):
+        raise ConfigError(f"eta must be large enough for a finite tau*, got {eta} "
+                          f"with variance {variance}")
+    return tau
 
 
 def estimate_eta(scores, base, tau: float) -> float:

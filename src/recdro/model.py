@@ -12,7 +12,8 @@ from .config import (BslForm, ConfigError, LossKind, LossSpec, NegSampler,
                      SamplingMode, TrainConfig, check_range)
 from .data import Dataset, atomic_open
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
-from .sampling import SamplerState, sample_negatives, sample_negatives_batch
+from .sampling import (SamplerState, sample_negatives, sample_negatives_batch,
+                       sample_uniform_batch)
 
 #: Added to every row norm before dividing; keeps zero vectors finite.
 NORM_EPS = 1e-12
@@ -363,11 +364,16 @@ def _gather_negatives(sampler: SamplerState, ds: Dataset, users: np.ndarray,
 
     A popularity sampler draws the whole block in one
     :func:`~recdro.sampling.sample_negatives_batch` call. A uniform sampler
-    makes one :func:`~recdro.sampling.sample_negatives` call per distinct
-    user, visiting users in ascending order and a user's rows in batch order.
+    draws what one :func:`~recdro.sampling.sample_negatives` call per
+    distinct user draws, visiting users in ascending order and a user's rows
+    in batch order: in one :func:`~recdro.sampling.sample_uniform_batch`
+    call where it can, and in that loop where it cannot.
     """
     if sampler.mode is NegSampler.POPULARITY:
         return sample_negatives_batch(sampler, ds, users, m)
+    out = sample_uniform_batch(sampler, ds, users, m)
+    if out is not None:
+        return out
     out = np.empty((users.size, m), dtype=np.int64)
     by_user = np.argsort(users, kind="stable")
     uniq, starts = np.unique(users[by_user], return_index=True)

@@ -30,7 +30,8 @@ class SamplerState:
     popularity_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        check_range("r_noise", self.r_noise, 0, math.inf)
+        # a Python float, so that every draw path forms p_take_pos in float64
+        self.r_noise = check_range("r_noise", self.r_noise, 0, math.inf)
         has_weights = self.popularity_weights is not None
         if (self.mode is NegSampler.POPULARITY) != has_weights:
             raise ValueError("popularity_weights must be given exactly in popularity mode")
@@ -159,12 +160,8 @@ def sample_negatives_batch(st: SamplerState, ds: Dataset, users, m: int) -> np.n
     users = np.asarray(users, dtype=np.int64)
     out = np.empty((users.size, m), dtype=np.int64)
 
-    # the batch's distinct users and their positives as flat CSR slices
     uniq, inv = np.unique(users, return_inverse=True)
-    pos_lists = [ds.train_pos[u] for u in uniq]
-    indptr = np.zeros(uniq.size + 1, dtype=np.int64)
-    np.cumsum([p.size for p in pos_lists], out=indptr[1:])
-    indices = np.concatenate([np.empty(0, np.int64), *pos_lists])
+    indptr, indices = _batch_csr(ds, uniq)
     # pos_cum[t] is the weight of the first t flat positives
     pos_cum = np.zeros(indices.size + 1)
     np.cumsum(weights[indices], out=pos_cum[1:])
@@ -212,6 +209,127 @@ def sample_negatives_batch(st: SamplerState, ds: Dataset, users, m: int) -> np.n
         need = need[hit]
     out[rows] = items.reshape(-1, m)
     return out
+
+
+def sample_uniform_batch(st: SamplerState, ds: Dataset, users,
+                         m: int) -> np.ndarray | None:
+    """Uniform-mode negatives for a whole batch, ``m`` per row, as (B, m);
+    bit for bit what a loop of :func:`sample_negatives` draws, or ``None``.
+
+    The loop visits the distinct users in ascending order and draws
+    ``n = rows * m`` items per user: ``random(n)`` (one raw word per double),
+    then ``integers`` over the leaked and the true-negative draws, which is
+    Lemire's bounded method fed by 32-bit halves of raw words. PCG64 hands
+    out a word's low half first and keeps its high half pending
+    (``has_uint32`` / ``uinteger``) for the next 32-bit request, so a user's
+    word count follows from ``n`` and the pending bit alone, and one
+    ``random_raw`` call covers the batch. The pending state is written back,
+    so the stream goes on exactly as after the loop.
+
+    ``None`` means "run the loop", with the generator's state as it was:
+    for a generator other than ``PCG64``, an empty batch, ``m < 1``, a
+    catalog of 2**32 items or more, a user with at most one negative, or, at
+    ``r_noise > 0``, a user with one positive (its range-1 ``integers``
+    consumes no word), and for a batch in which Lemire's method would reject
+    a value and draw again (:func:`_lemire_rejects`).
+    """
+    users = np.asarray(users, dtype=np.int64)
+    bitgen = st.rng.bit_generator
+    if (type(bitgen) is not np.random.PCG64 or users.size == 0 or m < 1
+            or ds.n_items >= 2**32):
+        return None
+    by_user = np.argsort(users, kind="stable")
+    uniq, rows = np.unique(users[by_user], return_counts=True)
+    indptr, indices = _batch_csr(ds, uniq)
+    n_pos = np.diff(indptr)
+    n_neg = ds.n_items - n_pos
+    r = st.r_noise
+    if np.any(n_neg <= 1) or (r > 0 and np.any(n_pos == 1)):
+        return None
+
+    # user j's n[j] draws hold flat slots first[j]:first[j] + n[j]
+    n = rows * m
+    first = np.cumsum(n) - n
+    saved = bitgen.state
+    pending = saved["has_uint32"]
+    # user j takes n[j] words for its doubles, then the words whose halves
+    # its n[j] 32-bit values need beyond one still pending from before
+    n_words32 = (n - ((pending + first) & 1) + 1) // 2
+    words = bitgen.random_raw(int(n.sum() + n_words32.sum()))
+    is_double = np.repeat(np.tile([True, False], uniq.size),
+                          np.column_stack([n, n_words32]).ravel())
+    # the 32-bit values in the order they are handed out, low half first
+    halves = words[~is_double].astype("<u8", copy=False).view("<u4")
+    if pending:
+        halves = np.concatenate([np.array([saved["uinteger"]], np.uint32), halves])
+
+    slot_user = np.repeat(np.arange(uniq.size), n)
+    slot_first = first[slot_user]
+    if r > 0:
+        w_pos = n_pos.astype(np.float64)
+        p_take_pos = (r * w_pos) / (r * w_pos + n_neg)
+        # random()'s doubles: a word's top 53 bits over 2**53
+        take_pos = (words[is_double] >> 11) * 2.0**-53 < p_take_pos[slot_user]
+        # a user's leaked draws take its first k values, over pos.size; the
+        # true negatives take the rest, each in slot order
+        taken = np.concatenate([[0], np.cumsum(take_pos)])
+        k = taken[first + n] - taken[first]
+        leaked_before = taken[:-1] - taken[slot_first]  # within the slot's user
+        local = np.arange(slot_user.size) - slot_first
+        values = halves[slot_first + np.where(take_pos, leaked_before,
+                                              k[slot_user] + local - leaked_before)]
+        ranges = np.where(take_pos, n_pos[slot_user], n_neg[slot_user])
+    else:
+        take_pos = None
+        values = halves[:slot_user.size]
+        ranges = n_neg[slot_user]
+    ranges = ranges.astype(np.uint64)
+    if _lemire_rejects(values, ranges):
+        bitgen.state = saved
+        return None
+    ranks = ((values * ranges) >> 32).astype(np.int64)
+
+    # the complement rule of complement_ids over the whole batch: user j's
+    # positive i has pos[i] - i negatives below it, keyed j * n_items + that
+    gap_user = np.repeat(np.arange(uniq.size), n_pos)
+    gap_keys = gap_user * ds.n_items + indices - (np.arange(indices.size) - indptr[gap_user])
+    ids = ranks + gap_keys.searchsorted(slot_user * ds.n_items + ranks, side="right")
+    ids -= indptr[slot_user]
+    if take_pos is not None:
+        ids[take_pos] = indices[indptr[slot_user[take_pos]] + ranks[take_pos]]
+
+    state = bitgen.state
+    state["has_uint32"] = (pending + slot_user.size) & 1
+    # the last word's high half, kept even once it has been handed out
+    state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    out = np.empty((users.size, m), dtype=np.int64)
+    out[by_user] = ids.reshape(-1, m)
+    return out
+
+
+def _lemire_rejects(values: np.ndarray, ranges: np.ndarray) -> bool:
+    """Whether numpy's bounded 32-bit draw of ``integers(0, ranges)`` would
+    reject any of the 32-bit ``values`` and draw again.
+
+    Lemire's method takes ``(v * range) >> 32`` and rejects ``v`` when the
+    low 32 bits of the product fall below ``(2**32 - range) % range``, a
+    threshold below ``range`` itself, which is checked first.
+    """
+    leftover = (values * ranges) & 0xFFFFFFFF
+    low = np.flatnonzero(leftover < ranges)
+    return bool(np.any(leftover[low] < (2**32 - ranges[low]) % ranges[low]))
+
+
+def _batch_csr(ds: Dataset, uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The training lists of users ``uniq`` as one flat CSR ``(indptr,
+    indices)``, sliced from the split's own CSR."""
+    starts = ds.indptr[uniq]
+    sizes = ds.indptr[uniq + 1] - starts
+    indptr = np.zeros(uniq.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    flat = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
+    return indptr, ds.indices[flat]
 
 
 def complement_ids(pos: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -287,6 +405,12 @@ def prepare_dataset(ds: Dataset, cfg: TrainConfig) -> tuple[Dataset, TrainConfig
         ds, cfg = (contaminate_positives(ds, cfg.pos_noise_ratio, cfg.rng_seed),
                    replace(cfg, pos_noise_ratio=0.0))
     if cfg.neg_sampler is NegSampler.POPULARITY:
+        unseen = np.flatnonzero(ds.item_popularity == 0)
+        if cfg.popularity_exponent < 0 and unseen.size:
+            raise ConfigError(
+                f"popularity_exponent {cfg.popularity_exponent:g} gives item {unseen[0]}, "
+                "which has no training interactions, an infinite weight: "
+                "popularity weights must be finite")
         check_popularity_weights(popularity_weights_from_counts(
             ds.item_popularity, cfg.popularity_exponent))
     return ds, cfg
@@ -310,8 +434,13 @@ def in_batch_negatives(batch_users, batch_items) -> np.ndarray:
 
 
 def popularity_weights_from_counts(counts: np.ndarray, exponent: float = 1.0) -> np.ndarray:
-    """Raise training interaction counts to ``exponent`` for popularity sampling."""
+    """Raise training interaction counts to ``exponent`` for popularity sampling.
+
+    A zero count under a negative exponent weighs ``inf``, without a
+    warning; :func:`check_popularity_weights` is what rejects it.
+    """
     counts = np.asarray(counts, dtype=np.float64)
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
-    return counts ** exponent
+    with np.errstate(divide="ignore"):
+        return counts ** exponent

@@ -3,6 +3,7 @@ import csv
 import importlib
 import math
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -682,4 +683,20 @@ def test_popularity_exponent_the_split_cannot_take_exits_2_with_no_output(tmp_pa
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert "popularity weights" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_popularity_exponent_names_the_setting_and_the_unseen_item(tmp_path, capsys):
+    (tmp_path / "train.txt").write_text("0 0 1\n1 1 2\n2 0 2 4\n")
+    (tmp_path / "test.txt").write_text("0 3\n1 3\n")
+    cfg = write_config(tmp_path, neg_sampler="popularity", popularity_exponent="-1",
+                       n_negatives="2")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "popularity_exponent" in err and "item 3" in err
     assert not out.exists()

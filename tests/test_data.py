@@ -234,3 +234,36 @@ def test_popularity_groups_outside_one_to_n_items_is_a_config_error(n_groups):
     ds = Dataset.from_positive_lists([[0, 1], [1, 2, 3]], [[], []])
     with pytest.raises(ConfigError, match="^n_groups must"):
         popularity_groups(ds, n_groups)
+
+
+class TestTrainingCsr:
+    # users 1 and 4 have no training items, user 5 has neither split's
+    DS = Dataset.from_positive_lists([[3, 0], [], [1, 2, 4], [5], []], [[1], [0], [], [], [2]],
+                                     n_users=6, n_items=7)
+
+    def test_slices_are_the_training_lists(self):
+        ds = random_interactions(40, 25, per_user=3, seed=2, test_fraction=0.5)
+        for split in (ds, self.DS):
+            assert split.indptr.shape == (split.n_users + 1,)
+            for u in range(split.n_users):
+                got = split.indices[split.indptr[u]:split.indptr[u + 1]]
+                assert np.array_equal(got, split.train_pos[u])
+                assert got.dtype == np.int64
+            assert split.n_train_interactions == split.indices.size
+
+    def test_train_pairs_match_the_per_user_concatenation(self):
+        ds = random_interactions(40, 25, per_user=3, seed=2, test_fraction=0.5)
+        for split in (ds, self.DS, Dataset.from_positive_lists([[], []], [[0], []])):
+            users = np.repeat(np.arange(split.n_users, dtype=np.int64),
+                              [a.size for a in split.train_pos])
+            items = np.concatenate([a for a in split.train_pos if a.size]
+                                   or [np.empty(0, np.int64)])
+            pairs = split.train_pairs()
+            assert pairs.dtype == np.int64 and pairs.shape == (users.size, 2)
+            assert np.array_equal(pairs, np.stack([users, items], axis=1))
+
+    def test_construction_does_not_build_it(self):
+        ds = Dataset.from_positive_lists([[0, 2], [1]], [[], [0]])
+        assert "indptr" not in vars(ds) and "indices" not in vars(ds)
+        ds.train_pairs()
+        assert "indptr" in vars(ds) and "indices" in vars(ds)

@@ -312,3 +312,12 @@ def test_argument_outside_the_range_rule_is_a_config_error(case, value):
 def test_temperature_floor_is_the_losses_floor():
     assert worst_case_weights(_SCORES, _BASE, MIN_TAU).weights.argmax() == 1
     assert estimate_eta(_SCORES, _BASE, MIN_TAU) > 0
+
+
+def test_tau_star_whose_result_would_overflow_names_eta():
+    """The smallest positive eta passes the range rule, but 1 / (2 eta) is inf."""
+    with pytest.raises(ConfigError, match="^eta must"):
+        tau_star(1.0, 5e-324)
+    with pytest.raises(ConfigError, match="^eta must"):
+        tau_star(1e300, 1e-10)
+    assert math.isfinite(tau_star(1e-300, 5e-324))

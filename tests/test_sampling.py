@@ -7,11 +7,14 @@ import pytest
 
 from recdro.config import ConfigError, NegSampler, TrainConfig
 from recdro.data import Dataset
+import recdro.model as model_mod
+import recdro.sampling as sampling_mod
 from recdro.sampling import (SamplerState, contaminate_positives,
                              in_batch_negatives, positive_fraction,
                              popularity_weights_from_counts, prepare_dataset,
-                             sample_negatives, sample_negatives_batch)
-from recdro.synthetic import random_interactions
+                             sample_negatives, sample_negatives_batch,
+                             sample_uniform_batch)
+from recdro.synthetic import random_interactions, zipf_preferences
 
 
 def one_user_dataset(n_items: int, n_pos: int) -> Dataset:
@@ -489,3 +492,136 @@ class TestPrepareDatasetChecksPopularityWeights:
         with pytest.raises(ConfigError, match="finite"):
             SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
                                 popularity_weights=[1.0, np.inf])
+
+
+def per_user_loop(st, ds, users, m):
+    """The uniform batch as one sample_negatives call per distinct user, in
+    ascending user order, each user's rows in batch order."""
+    out = np.empty((users.size, m), dtype=np.int64)
+    for u in np.unique(users):
+        idx = np.flatnonzero(users == u)
+        out[idx] = sample_negatives(st, ds, int(u), idx.size * m).reshape(-1, m)
+    return out
+
+
+def same_state(a, b) -> bool:
+    """Whether two ``bit_generator.state`` dicts are equal (MT19937's holds an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def lemire_rejects_scalar(value, n):
+    """numpy's bounded 32-bit draw for integers(0, n), on one 32-bit value."""
+    leftover = (value * n) % 2**32
+    return leftover < n and leftover < (2**32 - n) % n
+
+
+class TestUniformBatchDraw:
+    """The one-call uniform batch draw against the per-user loop it replaces:
+    the same ids and the same final generator state."""
+
+    NARROW = zipf_preferences(n_users=200, n_items=150, seed=5)
+    WIDE = zipf_preferences(n_users=300, n_items=1500, seed=6)
+
+    @staticmethod
+    def assert_matches_loop(ds, users, m, make_state):
+        fast, slow = make_state(), make_state()
+        got = model_mod._gather_negatives(fast, ds, users, m)
+        assert np.array_equal(got, per_user_loop(slow, ds, users, m))
+        assert same_state(fast.rng.bit_generator.state, slow.rng.bit_generator.state)
+
+    def assert_falls_back(self, ds, users, make_state):
+        st = make_state()
+        before = st.rng.bit_generator.state
+        assert sample_uniform_batch(st, ds, users, 8) is None
+        assert same_state(st.rng.bit_generator.state, before)
+        self.assert_matches_loop(ds, users, 8, make_state)
+
+    @pytest.mark.parametrize("r_noise", [0.0, 0.5])
+    @pytest.mark.parametrize("split", ["narrow", "wide"])
+    def test_matches_per_user_loop(self, split, r_noise, monkeypatch):
+        ds = self.NARROW if split == "narrow" else self.WIDE
+        fallbacks = []
+        monkeypatch.setattr(model_mod, "sample_negatives",
+                            lambda *args: fallbacks.append(args[2]) or sample_negatives(*args))
+        batches = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            for m in (1, 3, 8, 64):
+                fast = SamplerState.create(seed=seed, r_noise=r_noise)
+                slow = SamplerState.create(seed=seed, r_noise=r_noise)
+                for _ in range(3):  # chained: each batch starts where the last ended
+                    users = rng.integers(0, ds.n_users, size=int(rng.integers(1, 48)))
+                    got = model_mod._gather_negatives(fast, ds, users, m)
+                    assert np.array_equal(got, per_user_loop(slow, ds, users, m))
+                    assert same_state(fast.rng.bit_generator.state, slow.rng.bit_generator.state)
+                    batches += 1
+        # the loop ran in a handful of batches at most (Lemire rejections)
+        assert len(fallbacks) < 0.01 * batches * 48
+
+    # user 1 has one negative left, user 2 none
+    TIGHT = Dataset.from_positive_lists([[0], [0, 1, 2, 3], [0, 1, 2, 3, 4]], [[]] * 3,
+                                        n_items=5)
+    # user 1 has one positive: a range-1 integers() consumes no word
+    SINGLE = Dataset.from_positive_lists([[0, 5], [3]], [[]] * 2, n_items=20)
+
+    @pytest.mark.parametrize("case", ["one negative", "one positive, leaking", "MT19937"])
+    def test_fallback_leaves_the_state_and_runs_the_loop(self, case):
+        ds, users, make_state = {
+            "one negative": (self.TIGHT, [1, 0, 1], lambda: SamplerState.create(seed=4)),
+            "one positive, leaking": (self.SINGLE, [1, 0, 1, 1],
+                                      lambda: SamplerState.create(seed=4, r_noise=0.5)),
+            "MT19937": (self.NARROW, np.arange(0, 200, 3), lambda: SamplerState(
+                rng=np.random.Generator(np.random.MT19937(4)))),
+        }[case]
+        self.assert_falls_back(ds, np.asarray(users), make_state)
+
+    def test_fallback_is_limited_to_its_cases(self):
+        # without leaks a one-positive user takes the batch draw
+        assert sample_uniform_batch(SamplerState.create(seed=0), self.SINGLE,
+                                    np.array([0, 1]), 4) is not None
+        # a user with no negatives keeps the loop's error
+        with pytest.raises(ValueError, match="no negatives"):
+            model_mod._gather_negatives(SamplerState.create(seed=0), self.TIGHT,
+                                        np.array([0, 2]), 4)
+
+    def test_r_noise_is_held_as_a_python_float(self):
+        # numpy scalar arithmetic would form the loop's p_take_pos in float32
+        st = SamplerState.create(seed=0, r_noise=np.float32(0.3))
+        assert type(st.r_noise) is float and st.r_noise == float(np.float32(0.3))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 150, 1499, 1500, 2**31 + 1, 2**32 - 1])
+    def test_lemire_check_matches_a_scalar_reference(self, n):
+        rng = np.random.default_rng(n % 1000)
+        values = [0, 1, 2**31, 2**32 - 1, *rng.integers(0, 2**32, size=200).tolist()]
+        if n % 2:
+            # values whose products land just below, on and above the threshold
+            inverse = pow(n, -1, 2**32)
+            threshold = (2**32 - n) % n
+            values += [(c * inverse) % 2**32 for c in (0, threshold - 1, threshold,
+                                                         threshold + 1, n - 1, n)]
+        for v in values:
+            expect = lemire_rejects_scalar(v, n)
+            got = sampling_mod._lemire_rejects(np.array([v], np.uint32),
+                                               np.array([n], np.uint64))
+            assert got == expect, (v, n)
+        # v = 0 is rejected wherever the threshold is above 0
+        rejected = [v for v in values if lemire_rejects_scalar(v, n)]
+        assert bool(rejected) == ((2**32 - n) % n > 0)
+        both = np.array(values, np.uint32)
+        assert sampling_mod._lemire_rejects(both, np.full(both.size, n, np.uint64)) == \
+            bool(rejected)
+
+    @pytest.mark.parametrize("r_noise", [0.0, 0.5])
+    def test_a_rejection_restores_the_state_and_runs_the_loop(self, r_noise, monkeypatch):
+        def pending_state():
+            st = SamplerState.create(seed=8, r_noise=r_noise)
+            st.rng.random(3)
+            st.rng.integers(0, 10)  # leaves a 32-bit half pending
+            return st
+
+        assert pending_state().rng.bit_generator.state["has_uint32"] == 1
+        monkeypatch.setattr(sampling_mod, "_lemire_rejects", lambda values, ranges: True)
+        users = np.random.default_rng(3).integers(0, 200, size=40)
+        self.assert_falls_back(self.NARROW, users, pending_state)
