@@ -123,9 +123,9 @@ def cmd_train(args) -> int:
     last_tick = time.perf_counter()
 
     def callback(epoch, emb):
+        # an epoch's time ends after its own evaluation and checkpoint
         nonlocal last_tick
-        epoch_times.append(time.perf_counter() - last_tick)
-        last_tick = time.perf_counter()
+        metrics = None
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
             report = evaluate(emb, ds, ks)
             select_k = selection_cutoff(ks)
@@ -134,8 +134,11 @@ def cmd_train(args) -> int:
                 save_checkpoint(out_dir / "best.npz", emb,
                                 epoch=epoch, seed=cfg.train.rng_seed)
             values = [report.recall[k] for k in ks] + [report.ndcg[k] for k in ks]
-            return dict(zip(metric_cols, values))
-        return None
+            metrics = dict(zip(metric_cols, values))
+        now = time.perf_counter()
+        epoch_times.append(now - last_tick)
+        last_tick = now
+        return metrics
 
     started = time.perf_counter()
     emb, log = train(ds, train_cfg, cfg.loss, epoch_callback=callback)
@@ -143,7 +146,7 @@ def cmd_train(args) -> int:
 
     save_checkpoint(out_dir / "last.npz", emb,
                     epoch=cfg.train.epochs - 1, seed=cfg.train.rng_seed)
-    if not (out_dir / "best.npz").exists():
+    if best["epoch"] < 0:  # no evaluation of this run saved a best model
         save_checkpoint(out_dir / "best.npz", emb,
                         epoch=cfg.train.epochs - 1, seed=cfg.train.rng_seed)
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DEFAULT_TAU_GRID, MIN_TAU, LossKind, LossSpec, TrainConfig,
-                     check_values, spec_with_tau)
+from .config import (DEFAULT_TAU_GRID, MIN_TAU, ConfigError, LossKind, LossSpec,
+                     TrainConfig, check_values, spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
 from .model import (EmbeddingTable, _normalize_rows, cosine_score,
@@ -49,10 +49,6 @@ def selection_cutoff(ks) -> int:
     return 20 if 20 in ks else max(ks)
 
 
-def _discounts(k: int) -> np.ndarray:
-    return 1.0 / np.log2(np.arange(2, k + 2))
-
-
 def rank_items(scores: np.ndarray, exclude_items=None) -> np.ndarray:
     """Full item ranking by descending score, ties broken by ascending id.
 
@@ -86,8 +82,9 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     """Rank every item per user (training items excluded) and score the split.
 
     Items are scored by cosine similarity; ties are broken by ascending item
-    id. Users with empty test sets are skipped entirely; it is an error if no
-    user has test items. ``neg_score_variance`` pools
+    id. Every cutoff in ``ks`` must be a whole number of at least 1. Users
+    with empty test sets are skipped entirely; it is an error if no user
+    has test items. ``neg_score_variance`` pools
     ``VARIANCE_SAMPLES_PER_USER`` non-training items per evaluated user, drawn
     uniformly from a stream seeded with 0, and reports the population
     variance of their scores.
@@ -103,7 +100,10 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     ``ds.n_items``, so ``group_ndcg`` has ``min(n_groups, ds.n_items)``
     entries.
     """
-    ks = sorted(check_values("ks", (int(k) for k in ks), 1))
+    ks = check_values("ks", ks, 1)
+    if any(k != int(k) for k in ks):
+        raise ConfigError(f"ks must be whole numbers, got {ks}")
+    ks = sorted(int(k) for k in ks)
     if emb.n_users < ds.n_users or emb.n_items < ds.n_items:
         raise ValueError(f"embedding table of {emb.n_users} users x {emb.n_items} items "
                          f"is smaller than the dataset's {ds.n_users} x {ds.n_items}")
@@ -117,7 +117,10 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
         raise ValueError("no user has test items")
 
     rng = np.random.default_rng(0)
-    discounts = _discounts(kmax)
+    discounts = 1.0 / np.log2(np.arange(2, kmax + 2))
+    # idcg[n] is the DCG of n hits at the top, summed as a user's DCG is
+    max_test = max(ds.test_pos[u].size for u in eval_users)
+    idcg = [discounts[:n].sum() for n in range(min(kmax, max_test) + 1)]
 
     recall_acc = {k: [] for k in ks}
     ndcg_acc = {k: [] for k in ks}
@@ -143,22 +146,18 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
         scores = block[u - lo]
         train_items, test_items = ds.train_pos[u], ds.test_pos[u]
         topk = _top_k(scores, train_items, kmax)
+        n_test = test_items.size
         # test_items is sorted: a hit is where searchsorted lands on an equal id
         at = np.searchsorted(test_items, topk)
-        is_hit = test_items[np.minimum(at, test_items.size - 1)] == topk
+        hit_ranks = np.flatnonzero(test_items[np.minimum(at, n_test - 1)] == topk)
 
-        n_test = test_items.size
         for k in ks:
-            kk = min(k, topk.size)
-            hits_k = int(is_hit[:kk].sum())
-            recall_acc[k].append(hits_k / n_test)
-            idcg = discounts[:min(k, n_test)].sum()
-            dcg = float(discounts[:kk][is_hit[:kk]].sum())
-            ndcg_acc[k].append(dcg / idcg)
+            h = hit_ranks.searchsorted(k)
+            recall_acc[k].append(h / n_test)
+            ndcg_acc[k].append(float(discounts[hit_ranks[:h]].sum()) / idcg[min(k, n_test)])
 
-        idcg_g = discounts[:min(group_cutoff, n_test)].sum()
-        hit_ranks = np.flatnonzero(is_hit[:min(group_cutoff, topk.size)])
-        for r in hit_ranks:
+        idcg_g = idcg[min(group_cutoff, n_test)]
+        for r in hit_ranks[:hit_ranks.searchsorted(group_cutoff)]:
             group_acc[groups[topk[r]]] += discounts[r] / idcg_g
 
         n_neg = ds.n_items - train_items.size
@@ -231,11 +230,13 @@ def grid_search_train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
     ``tau_param`` picks which LossSpec field the grid drives ("tau",
     "tau_pos" or "tau_neg"); "auto" resolves it from the loss kind, and
     ``None`` (or a temperature-free loss) collapses the grid to one run.
-    Every grid temperature is checked before the first one trains.
+    ``tau_grid=None`` means :data:`DEFAULT_TAU_GRID`; every grid temperature
+    is checked, and an empty grid rejected, before the first one trains.
     """
     if tau_param == "auto":
         tau_param = default_tau_param(spec.kind)
-    grid = check_values("tau_grid", tau_grid or DEFAULT_TAU_GRID, MIN_TAU)
+    grid = check_values("tau_grid", DEFAULT_TAU_GRID if tau_grid is None else tau_grid,
+                        MIN_TAU)
     if tau_param is None:
         grid = (math.nan,)
     select_k = selection_cutoff(eval_ks)

@@ -77,12 +77,9 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
     no training positive is ever returned. A negative is drawn as its rank
     among the user's non-positive items, so no complement is materialized.
 
-    A popularity draw is ``Generator.choice(..., replace=True, p=...)``'s
-    algorithm written out (normalized cumulative weights searched with
-    ``rng.random``): the same RNG calls and the same bits, without
-    ``choice``'s per-call checks of ``p``, whose conditions
-    :class:`SamplerState` and the finiteness check below ensure. The test
-    oracle still calls ``choice`` and pins the two together.
+    One ``Generator.choice`` rule serves both modes: each side draws with one
+    call over its count, at ``p`` the side's normalized popularity weights,
+    or ``None`` in uniform mode (which numpy serves as ``integers(0, count)``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -93,8 +90,8 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
         raise ValueError(f"user {user} has no negatives and r_noise is 0")
 
     if st.mode is NegSampler.UNIFORM:
-        w_pos = float(pos.size)
-        w_neg = float(n_neg)
+        w_pos, w_neg = float(pos.size), float(n_neg)
+        pos_w = neg_w = None
     else:
         weights = st.popularity_weights
         if weights.shape[0] != ds.n_items:
@@ -115,19 +112,14 @@ def sample_negatives(st: SamplerState, ds: Dataset, user: int, n: int) -> np.nda
     k = int(take_pos.sum())
     out = np.empty(n, dtype=np.int64)
     if k:
-        if st.mode is NegSampler.UNIFORM:
-            out[take_pos] = pos[st.rng.integers(0, pos.size, size=k)]
-        else:
-            out[take_pos] = pos[_popularity_draw(st.rng, pos_w / w_pos, k)]
+        p = None if pos_w is None else pos_w / w_pos
+        out[take_pos] = pos[st.rng.choice(pos.size, size=k, p=p)]
     if k < n:
-        if st.mode is NegSampler.UNIFORM:
-            ranks = st.rng.integers(0, n_neg, size=n - k)
-        else:
-            if w_neg <= 0:
-                raise ValueError(f"user {user} has zero-weight negatives")
-            # np.delete returned a fresh array, so p is formed in place
-            ranks = _popularity_draw(st.rng, np.divide(neg_w, w_neg, out=neg_w), n - k)
-        out[~take_pos] = complement_ids(pos, ranks)
+        # in uniform mode k < n implies a negative exists
+        if w_neg <= 0:
+            raise ValueError(f"user {user} has zero-weight negatives")
+        p = None if neg_w is None else neg_w / w_neg
+        out[~take_pos] = complement_ids(pos, st.rng.choice(n_neg, size=n - k, p=p))
     return out
 
 
@@ -218,13 +210,14 @@ def sample_uniform_batch(st: SamplerState, ds: Dataset, users,
 
     The loop visits the distinct users in ascending order and draws
     ``n = rows * m`` items per user: ``random(n)`` (one raw word per double),
-    then ``integers`` over the leaked and the true-negative draws, which is
-    Lemire's bounded method fed by 32-bit halves of raw words. PCG64 hands
-    out a word's low half first and keeps its high half pending
-    (``has_uint32`` / ``uinteger``) for the next 32-bit request, so a user's
-    word count follows from ``n`` and the pending bit alone, and one
-    ``random_raw`` call covers the batch. The pending state is written back,
-    so the stream goes on exactly as after the loop.
+    then ``choice`` over the leaked and the true-negative counts, which numpy
+    serves as ``integers(0, count)``: Lemire's bounded method fed by 32-bit
+    halves of raw words. PCG64 hands out a word's low half first and keeps
+    its high half pending (``has_uint32`` / ``uinteger``) for the next
+    32-bit request, so a user's word count follows from ``n`` and the
+    pending bit alone, and one ``random_raw`` call covers the batch. The
+    pending state is written back, so the stream goes on exactly as after
+    the loop.
 
     ``None`` means "run the loop", with the generator's state as it was:
     for a generator other than ``PCG64``, an empty batch, ``m < 1``, a
@@ -339,13 +332,6 @@ def complement_ids(pos: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     at or below that count shifts the rank-th negative up by one.
     """
     return ranks + np.searchsorted(pos - np.arange(pos.size), ranks, side="right")
-
-
-def _popularity_draw(rng: np.random.Generator, p: np.ndarray, k: int) -> np.ndarray:
-    """``rng.choice(p.size, size=k, replace=True, p=p)``, overwriting ``p``."""
-    cdf = np.cumsum(p, out=p)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(k), side="right")
 
 
 def positive_fraction(r_noise: float, n_pos: int, n_neg: int) -> float:

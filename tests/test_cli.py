@@ -700,3 +700,39 @@ def test_negative_popularity_exponent_names_the_setting_and_the_unseen_item(tmp_
     assert "RuntimeWarning" not in err
     assert "popularity_exponent" in err and "item 3" in err
     assert not out.exists()
+
+
+def test_train_without_evaluation_replaces_a_previous_runs_best(tmp_path):
+    write_fixture(tmp_path)
+    out = tmp_path / "out"
+    first = write_config(tmp_path, "first.cfg", epochs=3, eval_every=1)
+    assert main(["train", "--config", str(first), "--out", str(out)]) == 0
+    for eval_every in (0, 5):  # never, and past the last epoch
+        second = write_config(tmp_path, "second.cfg", epochs=3, eval_every=eval_every,
+                              learning_rate=0.05)
+        assert main(["train", "--config", str(second), "--out", str(out)]) == 0
+        best, last = load_checkpoint(out / "best.npz"), load_checkpoint(out / "last.npz")
+        assert best.epoch == last.epoch == 2
+        assert np.array_equal(best.emb.user_vecs, last.emb.user_vecs)
+        assert np.array_equal(best.emb.item_vecs, last.emb.item_vecs)
+
+
+def test_per_epoch_time_holds_the_epochs_own_evaluation(tmp_path, monkeypatch):
+    import time
+
+    cli_module = importlib.import_module("recdro.cli")
+    real_evaluate = cli_module.evaluate
+    pause = 0.2
+
+    def slow_evaluate(*args, **kwargs):
+        time.sleep(pause)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "evaluate", slow_evaluate)
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, epochs=3, eval_every=1)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    per_epoch = json.loads((out / "manifest.json").read_text())["timing"]["per_epoch_s"]
+    assert len(per_epoch) == 3
+    assert all(t >= pause for t in per_epoch), per_epoch

@@ -436,3 +436,28 @@ def test_noise_sweep_tau_grid_checked_before_training(monkeypatch, bad):
         noise_sweep(ds, TrainConfig(epochs=1, embedding_dim=4), LossSpec(kind=LossKind.SL),
                     [0.0, 0.5], tau_grid=(0.1, bad))
     assert trained == []
+
+
+def test_empty_tau_grid_is_rejected_before_training(monkeypatch):
+    trained = []
+    monkeypatch.setattr(evaluate_module, "train",
+                        lambda *args, **kwargs: trained.append(args))
+    ds = planted_clusters(n_users=20, n_items=15, seed=1)
+    cfg, spec = TrainConfig(epochs=1, embedding_dim=4), LossSpec(kind=LossKind.SL)
+    with pytest.raises(ConfigError, match="tau_grid must be nonempty"):
+        grid_search_train(ds, cfg, spec, tau_grid=())
+    with pytest.raises(ConfigError, match="tau_grid must be nonempty"):
+        noise_sweep(ds, cfg, spec, [0.0], tau_grid=())
+    assert trained == []
+
+
+def test_cutoffs_must_be_whole_numbers():
+    ds = planted_clusters(n_users=30, n_items=20, seed=2)
+    emb = embedding_for(ds, seed=1)
+    with pytest.raises(ConfigError, match="ks"):
+        evaluate(emb, ds, [2.7])
+    with pytest.raises(ConfigError, match="ks"):
+        evaluate(emb, ds, [5, 2.5])
+    expected = report_as_dict(evaluate(emb, ds, [5]))
+    assert report_as_dict(evaluate(emb, ds, [np.int64(5)])) == expected
+    assert report_as_dict(evaluate(emb, ds, [5.0])) == expected

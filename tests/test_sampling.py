@@ -625,3 +625,14 @@ class TestUniformBatchDraw:
         monkeypatch.setattr(sampling_mod, "_lemire_rejects", lambda values, ranges: True)
         users = np.random.default_rng(3).integers(0, 200, size=40)
         self.assert_falls_back(self.NARROW, users, pending_state)
+
+
+def test_uniform_fallback_draws_once_per_distinct_user(monkeypatch):
+    ds = zipf_preferences(n_users=60, n_items=80, seed=3)
+    users = np.array([5, 2, 5, 9, 2, 2, 40, 5, 17])
+    calls = []
+    monkeypatch.setattr(model_mod, "sample_negatives",
+                        lambda *args: calls.append(args[2]) or sample_negatives(*args))
+    st = SamplerState(rng=np.random.Generator(np.random.MT19937(11)))
+    model_mod._gather_negatives(st, ds, users, 4)
+    assert calls == sorted(set(users.tolist()))
