@@ -9,11 +9,12 @@ from recdro.config import (BslForm, ConfigError, LossKind, LossSpec, NegSampler,
 from recdro.data import Dataset
 from recdro.losses import LossResult, ScoreBatch, bsl_loss, loss_fn_from_spec
 from recdro.model import (AdamState, CheckpointError, EmbeddingTable,
-                          TrainingDivergedError, cosine_score, inbatch_batch_grads,
-                          init_embeddings, load_checkpoint, sampled_batch_grads,
-                          save_checkpoint, score_all_items, train)
+                          TrainingDivergedError, cosine_score, dense_batch_grads,
+                          inbatch_batch_grads, init_embeddings, load_checkpoint,
+                          sampled_batch_grads, save_checkpoint, score_all_items,
+                          train, unique_rows)
 from recdro.sampling import SamplerState, in_batch_negatives, sample_negatives
-from recdro.synthetic import planted_clusters
+from recdro.synthetic import planted_clusters, zipf_preferences
 
 
 class TestInitEmbeddings:
@@ -384,9 +385,8 @@ END_TO_END_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", END_TO_END_SPECS,
-                         ids=lambda s: f"{s.kind.value}-{s.bsl_form.value}")
-def test_end_to_end_gradients_match_finite_differences(spec):
+def assert_grads_match_finite_differences(kernel, spec):
+    """c02's recipe: central differences, h = 1e-6, relative error < 1e-4."""
     rng = np.random.default_rng(30)
     emb = EmbeddingTable(rng.normal(scale=0.5, size=(3, 5)),
                          rng.normal(scale=0.5, size=(6, 5)))
@@ -395,7 +395,7 @@ def test_end_to_end_gradients_match_finite_differences(spec):
     negs = np.array([[2, 3], [0, 1], [5, 2], [3, 4]])
     fn = loss_fn_from_spec(spec)
 
-    value, ur, ug, ir, ig = sampled_batch_grads(emb, users, pos, negs, fn)
+    value, ur, ug, ir, ig = kernel(emb, users, pos, negs, fn)
     analytic_u = np.zeros_like(emb.user_vecs)
     analytic_u[ur] = ug
     analytic_i = np.zeros_like(emb.item_vecs)
@@ -409,11 +409,25 @@ def test_end_to_end_gradients_match_finite_differences(spec):
                 e1, e2 = emb.copy(), emb.copy()
                 getattr(e1, mat_name)[r, a] += h
                 getattr(e2, mat_name)[r, a] -= h
-                v1 = sampled_batch_grads(e1, users, pos, negs, fn)[0]
-                v2 = sampled_batch_grads(e2, users, pos, negs, fn)[0]
+                v1 = kernel(e1, users, pos, negs, fn)[0]
+                v2 = kernel(e2, users, pos, negs, fn)[0]
                 fd[r, a] = (v1 - v2) / (2 * h)
         rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(analytic), 1e-12)
         assert rel < 1e-4, f"{mat_name} rel err {rel}"
+
+
+@pytest.mark.parametrize("spec", END_TO_END_SPECS,
+                         ids=lambda s: f"{s.kind.value}-{s.bsl_form.value}")
+def test_end_to_end_gradients_match_finite_differences(spec):
+    assert_grads_match_finite_differences(sampled_batch_grads, spec)
+
+
+@pytest.mark.parametrize("spec", END_TO_END_SPECS,
+                         ids=lambda s: f"{s.kind.value}-{s.bsl_form.value}")
+def test_dense_gradients_match_finite_differences(monkeypatch, spec):
+    # blocks of two users: the batch's three users span two score blocks
+    monkeypatch.setattr(model_mod, "SCORE_BLOCK_BYTES", 2 * 8 * 6)
+    assert_grads_match_finite_differences(dense_batch_grads, spec)
 
 
 def test_in_batch_gradients_match_finite_differences():
@@ -605,6 +619,110 @@ class TestFastPathsBitIdentical:
                 idx = np.flatnonzero(users == u)
                 expected[idx] = sample_negatives(slow, ds, int(u), idx.size * 4).reshape(-1, 4)
             assert np.array_equal(got, expected)
+
+
+class TestDenseKernel:
+    """The dense unique-rows kernel against the reference kernel, and the
+    rule by which ``train`` picks one of them per batch."""
+
+    # the reference test's shapes; block_rows=None keeps SCORE_BLOCK_BYTES,
+    # one block here, and "blocks" cuts 10 users into blocks of 3, 3, 3, 1
+    @pytest.mark.parametrize("b, m, d, n_users, block_rows, loss", [
+        pytest.param(12, 5, 13, 6, None, "sl", id="base"),
+        pytest.param(150, 64, 64, 40, None, "sl", id="3x64"),
+        pytest.param(150, 5, 13, 40, None, "sl", id="d13"),
+        pytest.param(150, 5, 13, 3, None, "sl", id="repeat"),
+        pytest.param(150, 5, 13, 7, None, "bsl", id="bsl"),
+        pytest.param(150, 5, 13, 7, 1, "sl", id="rows1"),
+        pytest.param(150, 5, 13, 10, 3, "sl", id="blocks"),
+        pytest.param(150, 5, 13, 10, 3, "bsl", id="bsl-blocks"),
+    ])
+    def test_matches_reference_kernel(self, monkeypatch, b, m, d, n_users,
+                                      block_rows, loss):
+        rng = np.random.default_rng(43)
+        emb = EmbeddingTable(rng.normal(size=(n_users, d)), rng.normal(size=(4 * m, d)))
+        users = rng.integers(0, n_users, size=b)
+        pos = rng.integers(0, 4 * m, size=b)
+        negs = rng.integers(0, 4 * m, size=(b, m))
+        negs[0, 1:] = negs[0, 0]  # a row whose negatives repeat one id
+        negs[1, 0] = pos[1]  # a negative that is the row's own positive
+        if loss == "bsl":
+            users = np.sort(users)
+            sizes = np.unique(users, return_counts=True)[1]
+            fn = lambda batch: bsl_loss(batch, 0.4, 0.2, BslForm.CANONICAL,  # noqa: E731
+                                        pos_group_sizes=sizes)
+        else:
+            fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.3))
+        unique = unique_rows(users, pos, negs)
+        if block_rows is not None:
+            monkeypatch.setattr(model_mod, "SCORE_BLOCK_BYTES",
+                                block_rows * 8 * unique[2].size)
+            assert model_mod.score_block_rows(unique[2].size) == block_rows
+        if block_rows == 3:
+            assert unique[0].size == 10
+
+        ref = sampled_batch_grads(emb, users, pos, negs, fn)
+        for got in (dense_batch_grads(emb, users, pos, negs, fn),
+                    dense_batch_grads(emb, users, pos, negs, fn, unique=unique)):
+            assert np.array_equal(got[1], ref[1]) and np.array_equal(got[3], ref[3])
+            assert abs(got[0] - ref[0]) <= 1e-12 * abs(ref[0])
+            for k in (2, 4):
+                assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k])
+
+    # sizes and sampler of the sl-narrow and bsl-pop-wide benchmark
+    # workloads, of c10's training runs, and of a wide uniform catalog
+    @pytest.mark.parametrize("n_users, n_items, per_user, sampler, d, dense", [
+        pytest.param(1000, 1500, 30, NegSampler.UNIFORM, 64, True, id="sl-narrow"),
+        pytest.param(500, 20000, 20, NegSampler.POPULARITY, 64, True, id="bsl-pop-wide"),
+        pytest.param(200, 150, 24, NegSampler.UNIFORM, 16, True, id="c10"),
+        pytest.param(500, 20000, 20, NegSampler.UNIFORM, 64, False, id="wide-uniform"),
+    ])
+    def test_rule_picks_the_kernel_by_batch_shape(self, n_users, n_items, per_user,
+                                                  sampler, d, dense):
+        ds = zipf_preferences(n_users=n_users, n_items=n_items,
+                              interactions_per_user=per_user, seed=0)
+        cfg = TrainConfig(embedding_dim=d, batch_size=1024, n_negatives=64,
+                          neg_sampler=sampler, r_noise=0.1, rng_seed=0)
+        pairs = ds.train_pairs()
+        chunk = pairs[np.random.default_rng(0).permutation(pairs.shape[0])[:1024]]
+        negs = model_mod._gather_negatives(SamplerState.for_config(ds, cfg, seed=1),
+                                           ds, chunk[:, 0], 64)
+        unique = unique_rows(chunk[:, 0], chunk[:, 1], negs)
+        assert model_mod.prefers_dense(unique[0].size, unique[2].size, 1024, 64, d) is dense
+
+    @pytest.mark.parametrize("spec, sampler", [
+        (LossSpec(kind=LossKind.SL, tau=0.2), NegSampler.UNIFORM),
+        (LossSpec(kind=LossKind.BSL, tau_pos=0.25, tau_neg=0.2,
+                  bsl_form=BslForm.CANONICAL), NegSampler.POPULARITY),
+    ], ids=["sl-uniform", "bsl-popularity"])
+    def test_either_kernel_trains_the_same_table(self, monkeypatch, spec, sampler):
+        ds = zipf_preferences(seed=0)
+        cfg = TrainConfig(embedding_dim=16, learning_rate=1e-2, epochs=1, batch_size=256,
+                          n_negatives=16, neg_sampler=sampler, rng_seed=4)
+        used = set()
+
+        def counting(name):
+            kernel = getattr(model_mod, name)
+
+            def wrapped(*args, **kwargs):
+                used.add(name)
+                return kernel(*args, **kwargs)
+            return wrapped
+
+        for name in ("dense_batch_grads", "sampled_batch_grads"):
+            monkeypatch.setattr(model_mod, name, counting(name))
+        tables = {}
+        for name, ratio in (("dense_batch_grads", math.inf), ("sampled_batch_grads", 0.0)):
+            used.clear()
+            monkeypatch.setattr(model_mod, "DENSE_COST_RATIO", ratio)
+            first, second = train(ds, cfg, spec)[0], train(ds, cfg, spec)[0]
+            assert used == {name}
+            assert np.array_equal(first.user_vecs, second.user_vecs)
+            assert np.array_equal(first.item_vecs, second.item_vecs)
+            tables[name] = first
+        dense, gather = tables["dense_batch_grads"], tables["sampled_batch_grads"]
+        assert np.max(np.abs(dense.user_vecs - gather.user_vecs)) <= 1e-9
+        assert np.max(np.abs(dense.item_vecs - gather.item_vecs)) <= 1e-9
 
 
 def test_train_rejects_unspent_pos_noise_ratio():
