@@ -75,7 +75,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    p = p[mask]
+    return float((p * (np.log(p) - np.log(q[mask]))).sum())
 
 
 def _tilt(scores: np.ndarray, base: np.ndarray, tau: float) -> np.ndarray:

@@ -93,12 +93,15 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     :func:`~recdro.model.score_block_bounds`: one GEMM of the block's unit
     user rows against the unit item table, computed once for each block that
     holds an evaluated user. The scores are that GEMM's bits, which are
-    exactly what :func:`~recdro.model.score_all_items` returns. Only the
-    split's ``ds.n_items`` items are candidates: rows of a larger item table
-    past the catalog are never ranked. A table with fewer users or items
-    than ``ds`` is a ``ValueError``. ``n_groups`` is clamped to
-    ``ds.n_items``, so ``group_ndcg`` has ``min(n_groups, ds.n_items)``
-    entries.
+    exactly what :func:`~recdro.model.score_all_items` returns. A block
+    holds :func:`~recdro.model.score_block_rows` users: about 2 MiB of scores
+    up to 4096 items, and 64 users (``512 * n_items`` bytes) on a wider
+    catalog, so the scores in memory are bounded by the catalog, not by
+    users x items. Only the split's ``ds.n_items`` items are candidates: rows
+    of a larger item table past the catalog are never ranked. A table with
+    fewer users or items than ``ds`` is a ``ValueError``. ``n_groups`` is
+    clamped to ``ds.n_items``, so ``group_ndcg`` has
+    ``min(n_groups, ds.n_items)`` entries.
     """
     ks = check_values("ks", ks, 1)
     if any(k != int(k) for k in ks):

@@ -83,21 +83,28 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted log-sum-exp along ``axis``."""
-    return _logsumexp_softmax(x, axis)[0]
+    return _logsumexp_softmax(np.array(x, dtype=np.float64), axis)[0]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    return _logsumexp_softmax(x, axis)[1]
+    return _logsumexp_softmax(np.array(x, dtype=np.float64), axis)[1]
 
 
 def _logsumexp_softmax(x: np.ndarray, axis: int = -1):
     """``(logsumexp(x, axis), softmax(x, axis))`` from one max-shifted exp:
-    the one log-sum-exp kernel, of which the two functions are the halves."""
-    x = np.asarray(x, dtype=np.float64)
+    the one log-sum-exp kernel, of which the two functions are the halves.
+
+    ``x`` is a float64 array that the caller owns and gives up: it is
+    overwritten in place (shifted, exponentiated, normalized) and returned as
+    the softmax. Each step is the same elementwise operation the allocating
+    form ``exp(x - max) / sum`` runs, so the bits are the same.
+    """
     m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    total = np.sum(e, axis=axis, keepdims=True)
-    return m.squeeze(axis) + np.log(total.squeeze(axis)), e / total
+    x -= m
+    np.exp(x, out=x)
+    total = np.sum(x, axis=axis, keepdims=True)
+    x /= total
+    return m.squeeze(axis) + np.log(total.squeeze(axis)), x
 
 
 def bpr_loss(batch: ScoreBatch) -> LossResult:
@@ -154,8 +161,8 @@ def softmax_loss(batch: ScoreBatch, tau: float) -> LossResult:
     lse, weights = _logsumexp_softmax(batch.neg_scores / tau, axis=1)
     value = float(np.mean(-batch.pos_scores + tau * lse))
     grad_pos = np.full(n, -1.0 / n)
-    grad_neg = weights / n
-    return LossResult(value, grad_pos, grad_neg)
+    weights /= n
+    return LossResult(value, grad_pos, weights)
 
 
 def softmax_loss_no_variance(batch: ScoreBatch, tau: float) -> LossResult:
@@ -208,8 +215,9 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
         lse, weights = _logsumexp_softmax(batch.neg_scores / tau_neg, axis=1)
         value = float(np.mean(-batch.pos_scores / tau_pos + (tau_pos / tau_neg) * lse))
         grad_pos = np.full(n, -1.0 / (tau_pos * n))
-        grad_neg = (tau_pos / tau_neg ** 2) * weights / n
-        return LossResult(value, grad_pos, grad_neg)
+        weights *= tau_pos / tau_neg ** 2
+        weights /= n
+        return LossResult(value, grad_pos, weights)
 
     if form is not BslForm.CANONICAL:
         raise ValueError(f"unknown form {form!r}")
@@ -241,7 +249,8 @@ def bsl_loss(batch: ScoreBatch, tau_pos: float, tau_neg: float,
         # -tau_pos * log mean exp(p/tau_pos) = -tau_pos * (lse(p/tau_pos) - log size)
         terms[groups] = -tau_pos * (pos_lse - np.log(size)) + tau_neg * neg_lse
         grad_pos[rows] = (-pos_w / n_groups).ravel()
-        grad_neg[rows] = (neg_w / n_groups).reshape(-1, m)
+        neg_w /= n_groups
+        grad_neg[rows] = neg_w.reshape(-1, m)
     # the groups' terms added one after another in group order (cumsum),
     # not pairwise as np.sum would
     return LossResult(float(np.cumsum(terms)[-1] / n_groups), grad_pos, grad_neg)

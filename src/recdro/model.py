@@ -20,9 +20,14 @@ NORM_EPS = 1e-12
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, batch_index: int):
-        super().__init__(f"non-finite loss at batch index {batch_index}")
+    """A batch produced non-finite values; ``phase`` is where they appeared:
+    ``"loss"`` (the loss value) or ``"backward"`` (the embedding gradients)."""
+
+    def __init__(self, batch_index: int, phase: str):
+        super().__init__(f"training diverged at batch index {batch_index}: "
+                         f"non-finite values in the {phase} phase")
         self.batch_index = batch_index
+        self.phase = phase
 
 
 class CheckpointError(RuntimeError):
@@ -117,14 +122,25 @@ def cosine_score(emb: EmbeddingTable, user: int, items) -> tuple[np.ndarray, Cos
     return scores, ctx
 
 
-#: Bytes of one (rows, n_items) block of cosine scores: users are scored
-#: :func:`score_block_rows` at a time.
+#: Bytes of one block of cosine scores at up to SCORE_BLOCK_MAX_ITEMS items:
+#: users are scored :func:`score_block_rows` at a time.
 SCORE_BLOCK_BYTES = 2 << 20
+
+#: The widest catalog a block's rows are budgeted against. A wider one keeps
+#: that many rows (64 at the default budget), so the block GEMM stays tall
+#: enough for BLAS while a block grows only with the catalog.
+SCORE_BLOCK_MAX_ITEMS = 4096
 
 
 def score_block_rows(n_items: int) -> int:
-    """Users per score block: ``max(1, SCORE_BLOCK_BYTES // (8 * n_items))``."""
-    return max(1, SCORE_BLOCK_BYTES // (8 * n_items))
+    """Users per score block:
+    ``max(1, SCORE_BLOCK_BYTES // (8 * min(n_items, SCORE_BLOCK_MAX_ITEMS)))``.
+
+    At the default budget that is about 2 MiB of scores up to 4096 items and
+    64 users above, so one block holds at most ``max(2 MiB, 512 * n_items)``
+    bytes (10 MiB at 20000 items): bounded by the catalog, not by users x items.
+    """
+    return max(1, SCORE_BLOCK_BYTES // (8 * min(n_items, SCORE_BLOCK_MAX_ITEMS)))
 
 
 def score_block_bounds(user: int, n_users: int, n_items: int) -> tuple[int, int]:
@@ -356,7 +372,8 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
     ``G`` (U x I) by one ``bincount``, and the hat-space gradients are
     ``G @ I_hat`` and ``G.T @ U_hat``. Users are taken a block at a time, in
     blocks of :func:`score_block_rows` users as in ``evaluate``, so ``S`` and
-    ``G`` never hold more than one block each. The sums run in another
+    ``G`` never hold more than one block each: about 2 MiB up to 4096 unique
+    items, and 64 users' rows (``512 * I`` bytes) above. The sums run in another
     order than the reference kernel's, so the results agree with it to
     rounding, not bit for bit.
     """
@@ -440,7 +457,9 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
     neg_scores = _off_diagonal(sim).reshape(b, b - 1)
     res = loss_fn(ScoreBatch(pos_scores, neg_scores))
 
-    g_sim = np.empty_like(sim)
+    # sim is spent once the loss has returned: its buffer takes the
+    # gradients, every entry of which is written below
+    g_sim = sim
     g_sim.ravel()[::b + 1] = res.grad_pos
     _off_diagonal(g_sim)[...] = res.grad_neg.reshape(b - 1, b)
 
@@ -504,6 +523,10 @@ def train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
     otherwise; the two agree to rounding, and either choice is fixed by the
     batch, so a run stays deterministic per seed.
 
+    A non-finite loss value, or a non-finite entry in a batch's embedding
+    gradients, raises :class:`TrainingDivergedError` with the batch index and
+    the phase (``"loss"`` or ``"backward"``) before Adam touches the table.
+
     ``epoch_callback(epoch, emb) -> dict | None`` may attach extra metrics to
     an epoch's log entry (the table must be treated as read-only inside).
 
@@ -560,7 +583,9 @@ def train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
                 value, urows, ugrads, irows, igrads = inbatch_batch_grads(
                     emb, users, pos_items, loss_fn)
             if not np.isfinite(value):
-                raise TrainingDivergedError(batch_index)
+                raise TrainingDivergedError(batch_index, "loss")
+            if not (np.isfinite(ugrads).all() and np.isfinite(igrads).all()):
+                raise TrainingDivergedError(batch_index, "backward")
             if cfg.l2_reg:
                 ugrads = ugrads + cfg.l2_reg * emb.user_vecs[urows]
                 igrads = igrads + cfg.l2_reg * emb.item_vecs[irows]

@@ -268,6 +268,34 @@ class TestScorePartition:
             assert np.array_equal(scores, score_all_items(emb, u))
             assert np.array_equal(scores, (u_hat[lo:hi] @ i_hat.T)[u - lo])
 
+    def test_wide_catalog_blocks_hold_64_users(self, monkeypatch):
+        # past SCORE_BLOCK_MAX_ITEMS items the default budget still gives
+        # 64-user blocks: 150 users fall in blocks of 64, 64 and 22
+        n_users, n_items = 150, 5000
+        ds = random_interactions(n_users, n_items, per_user=10, seed=25, test_fraction=0.4)
+        emb = embedding_for(ds, d=8, seed=25)
+        # one test item per user sits next to that user, so hits occur
+        for u in range(n_users):
+            if ds.test_pos[u].size:
+                emb.item_vecs[ds.test_pos[u][0]] = emb.user_vecs[u] + 1e-3
+        assert [score_block_bounds(u, n_users, n_items)[0] for u in (63, 64, 128, 149)] == [
+            0, 64, 128, 128]
+        seen = []
+        real = evaluate_module._top_k
+        monkeypatch.setattr(evaluate_module, "_top_k",
+                            lambda scores, exclude, k: seen.append(scores.copy())
+                            or real(scores, exclude, k))
+        ks = [1, 5, 20]
+        report = evaluate(emb, ds, ks, n_groups=4)
+        eval_users = [u for u in range(n_users) if ds.test_pos[u].size]
+        assert len(seen) == len(eval_users)
+        for u, scores in zip(eval_users, seen):
+            assert np.array_equal(scores, score_all_items(emb, u))
+        recall, ndcg = brute_force_metrics(emb, ds, ks)
+        assert report.recall == recall
+        assert report.ndcg == ndcg
+        assert report.recall[1] > 0
+
     @pytest.mark.parametrize("rows", [1, 4, 7, 23])
     def test_metrics_and_variance_match_the_oracles(self, monkeypatch, rows):
         ds, emb = self.fixture()

@@ -126,6 +126,25 @@ class TestScoreAllItems:
         assert int(np.argmax(full)) == best
 
 
+class TestScoreBlockRows:
+    """Score blocks hold about SCORE_BLOCK_BYTES up to SCORE_BLOCK_MAX_ITEMS
+    items, and the rows of a SCORE_BLOCK_MAX_ITEMS-item block above."""
+
+    @pytest.mark.parametrize("n_items, rows", [
+        (1500, 174), (4095, 64), (4096, 64), (4097, 64), (6000, 64), (20000, 64)])
+    def test_default_budget(self, n_items, rows):
+        assert model_mod.SCORE_BLOCK_MAX_ITEMS == 4096
+        assert model_mod.score_block_rows(n_items) == rows
+        # a block's bytes are bounded by the catalog, not by the user count
+        assert rows * 8 * n_items <= max(model_mod.SCORE_BLOCK_BYTES, 64 * 8 * n_items)
+
+    def test_wide_catalog_rows_follow_the_budget(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "SCORE_BLOCK_BYTES", 3 * 8 * 4096)
+        assert model_mod.score_block_rows(4096) == 3
+        assert model_mod.score_block_rows(20000) == 3
+        assert model_mod.score_block_rows(1000) == 12
+
+
 class TestAdam:
     def test_fresh_state_step_is_sign_preserving_ratio(self):
         emb = EmbeddingTable(np.zeros((2, 3)), np.zeros((4, 3)))
@@ -316,6 +335,43 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train(ds, cfg, LossSpec(kind=LossKind.SL, tau=0.2))
         assert err.value.batch_index == 0
+
+    @pytest.mark.parametrize("phase", ["loss", "backward"])
+    def test_divergence_names_its_batch_and_phase(self, monkeypatch, phase):
+        ds = tiny_dataset()
+        cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=1,
+                          batch_size=2, n_negatives=2, rng_seed=8)
+        calls = []
+        adam_steps = []
+
+        def poisoned(spec):
+            real = loss_fn_from_spec(spec)
+
+            def fn(batch):
+                res = real(batch)
+                calls.append(None)
+                if len(calls) < 3:
+                    return res
+                if phase == "loss":
+                    return LossResult(float("inf"), res.grad_pos, res.grad_neg)
+                grad_neg = res.grad_neg.copy()
+                grad_neg[0, 0] = np.nan
+                return LossResult(res.value, res.grad_pos, grad_neg)
+            return fn
+
+        real_apply = AdamState.apply
+
+        def counting_apply(self, *args):
+            adam_steps.append(None)
+            real_apply(self, *args)
+
+        monkeypatch.setattr(model_mod, "loss_fn_from_spec", poisoned)
+        monkeypatch.setattr(AdamState, "apply", counting_apply)
+        with pytest.raises(TrainingDivergedError, match=f"batch index 2: .* {phase} phase"
+                           ) as err:
+            train(ds, cfg, LossSpec(kind=LossKind.SL, tau=0.2))
+        assert (err.value.batch_index, err.value.phase) == (2, phase)
+        assert len(adam_steps) == 2  # the diverged batch reached no Adam step
 
     def test_callback_metrics_land_in_log(self):
         ds = tiny_dataset()
@@ -668,6 +724,26 @@ class TestDenseKernel:
             assert abs(got[0] - ref[0]) <= 1e-12 * abs(ref[0])
             for k in (2, 4):
                 assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k])
+
+    def test_matches_reference_kernel_past_the_block_item_cap(self):
+        # over 4096 unique items, the default budget gives 64-user blocks:
+        # 150 users fall in blocks of 64, 64 and 22
+        rng = np.random.default_rng(44)
+        n_users, n_items, b, m, d = 150, 20000, 600, 16, 8
+        emb = EmbeddingTable(rng.normal(size=(n_users, d)), rng.normal(size=(n_items, d)))
+        users = np.concatenate([np.arange(n_users), rng.integers(0, n_users, b - n_users)])
+        pos = rng.integers(0, n_items, size=b)
+        negs = rng.integers(0, n_items, size=(b, m))
+        unique = unique_rows(users, pos, negs)
+        assert unique[0].size == n_users and unique[2].size > model_mod.SCORE_BLOCK_MAX_ITEMS
+        assert model_mod.score_block_rows(unique[2].size) == 64
+        fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.3))
+        ref = sampled_batch_grads(emb, users, pos, negs, fn)
+        got = dense_batch_grads(emb, users, pos, negs, fn)
+        assert np.array_equal(got[1], ref[1]) and np.array_equal(got[3], ref[3])
+        assert abs(got[0] - ref[0]) <= 1e-12 * abs(ref[0])
+        for k in (2, 4):
+            assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k])
 
     # sizes and sampler of the sl-narrow and bsl-pop-wide benchmark
     # workloads, of c10's training runs, and of a wide uniform catalog
