@@ -21,8 +21,8 @@ import numpy as np
 from .evaluate import (default_tau_param, evaluate, noise_sweep, report_as_dict,
                        report_rows, selection_cutoff)
 from .config import (CONFIG_KEYS, MIN_TAU, ConfigError, ExperimentConfig,
-                     _parse_float_list, _parse_int_list, check_range, check_values,
-                     config_as_dict, load_config, override_config)
+                     _parse_float_list, _parse_int, _parse_int_list, check_range,
+                     check_values, config_as_dict, load_config, override_config)
 from .data import DataFormatError, Dataset, atomic_open, load_dataset, save_dataset
 from .dro import estimate_eta, worst_case_weights
 from .model import (CheckpointError, TrainingDivergedError, cosine_score,
@@ -94,6 +94,9 @@ def _config_from_args(args) -> ExperimentConfig:
         if value is not None:
             overrides[key] = value
     if args.seed is not None:
+        if args.opt_rng_seed is not None and _parse_int(args.opt_rng_seed) != args.seed:
+            raise ConfigError(f"--seed {args.seed} and --rng-seed {args.opt_rng_seed} "
+                              "disagree; give one of them")
         overrides["rng_seed"] = str(args.seed)
     if overrides:
         cfg = override_config(cfg, overrides)

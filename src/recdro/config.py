@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 
 class ConfigError(ValueError):
@@ -25,6 +26,18 @@ def check_range(name: str, value, lo: float, hi: float) -> float:
     if not (lo <= value < hi and math.isfinite(value)):
         raise ConfigError(f"{name} must be finite and lie in [{lo:g}, {hi:g}), got {value}")
     return float(value)
+
+
+def check_whole(name: str, value) -> int:
+    """``int(value)`` if ``value`` is a whole number, such as ``5``, a numpy
+    integer or ``5.0``; otherwise a :class:`ConfigError` that names the setting."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return whole
 
 
 def check_values(name: str, values, lo: float) -> tuple:
@@ -105,14 +118,27 @@ class TrainConfig:
     pos_noise_ratio: float = 0.0
     rng_seed: int = 0
 
+    # the settings that count something: validate() takes whole numbers only
+    _WHOLE_FIELDS: ClassVar[tuple[str, ...]] = (
+        "embedding_dim", "n_negatives", "batch_size", "epochs")
+
+    def __post_init__(self):
+        # a whole float such as 5.0 is kept as the int it names, so that
+        # range() and array shapes take it
+        for name in self._WHOLE_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                object.__setattr__(self, name, int(value))
+
     def validate(self) -> None:
         in_batch = self.sampling_mode is SamplingMode.IN_BATCH
         for name, lo in (("embedding_dim", 1), ("learning_rate", 0), ("l2_reg", 0),
-                         ("epochs", 0), ("batch_size", 2 if in_batch else 1),
+                         ("n_negatives", 1), ("epochs", 0),
+                         ("batch_size", 2 if in_batch else 1),
                          ("popularity_exponent", -math.inf), ("r_noise", 0)):
             check_range(name, getattr(self, name), lo, math.inf)
-        if not in_batch:
-            check_range("n_negatives", self.n_negatives, 1, math.inf)
+        for name in self._WHOLE_FIELDS:
+            check_whole(name, getattr(self, name))
         check_range("pos_noise_ratio", self.pos_noise_ratio, 0, 1)
 
 
@@ -132,7 +158,9 @@ class ExperimentConfig:
         self.train.validate()
         self.loss.validate()
         check_range("eval_every", self.eval_every, 0, math.inf)
-        check_values("eval_ks", self.eval_ks, 1)
+        check_whole("eval_every", self.eval_every)
+        for k in check_values("eval_ks", self.eval_ks, 1):
+            check_whole("eval_ks", k)
         check_values("tau_grid", self.tau_grid, MIN_TAU)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_range
+from .config import check_range, check_whole
 
 
 class DataFormatError(ValueError):
@@ -75,7 +75,7 @@ class Dataset:
                      for u, t in enumerate(test)]
 
         min_users = max(len(train_arrs), len(test_arrs))
-        n_users = min_users if n_users is None else int(n_users)
+        n_users = min_users if n_users is None else check_whole("n_users", n_users)
         if n_users < min_users:
             raise DataFormatError(
                 f"n_users={n_users} smaller than number of user lists {min_users}")
@@ -86,7 +86,7 @@ class Dataset:
         flat_train = np.concatenate([empty, *train_arrs])
         flat_test = np.concatenate([empty, *test_arrs])
         min_items = int(max(flat_train.max(initial=-1), flat_test.max(initial=-1))) + 1
-        n_items = min_items if n_items is None else int(n_items)
+        n_items = min_items if n_items is None else check_whole("n_items", n_items)
         if n_items < min_items:
             raise DataFormatError(
                 f"n_items={n_items} smaller than max item id + 1 ({min_items})")
@@ -202,6 +202,7 @@ def popularity_groups(ds: Dataset, n_groups: int) -> np.ndarray:
     group ids hold more popular items.
     """
     check_range("n_groups", n_groups, 1, ds.n_items + 1)
+    n_groups = check_whole("n_groups", n_groups)
     order = np.lexsort((np.arange(ds.n_items), ds.item_popularity))
     groups = np.empty(ds.n_items, dtype=np.int64)
     for gid, chunk in enumerate(np.array_split(order, n_groups)):

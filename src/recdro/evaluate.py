@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DEFAULT_TAU_GRID, MIN_TAU, ConfigError, LossKind, LossSpec,
-                     TrainConfig, check_values, spec_with_tau)
+from .config import (DEFAULT_TAU_GRID, MIN_TAU, LossKind, LossSpec,
+                     TrainConfig, check_values, check_whole, spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
 from .model import (EmbeddingTable, _normalize_rows, cosine_score,
@@ -103,16 +103,13 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     clamped to ``ds.n_items``, so ``group_ndcg`` has
     ``min(n_groups, ds.n_items)`` entries.
     """
-    ks = check_values("ks", ks, 1)
-    if any(k != int(k) for k in ks):
-        raise ConfigError(f"ks must be whole numbers, got {ks}")
-    ks = sorted(int(k) for k in ks)
+    ks = sorted(check_whole("ks", k) for k in check_values("ks", ks, 1))
     if emb.n_users < ds.n_users or emb.n_items < ds.n_items:
         raise ValueError(f"embedding table of {emb.n_users} users x {emb.n_items} items "
                          f"is smaller than the dataset's {ds.n_users} x {ds.n_items}")
     kmax = ks[-1]
     group_cutoff = selection_cutoff(ks)
-    n_groups = min(n_groups, ds.n_items)
+    n_groups = min(check_whole("n_groups", n_groups), ds.n_items)
     groups = popularity_groups(ds, n_groups)
 
     eval_users = [u for u in range(ds.n_users) if ds.test_pos[u].size]

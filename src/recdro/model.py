@@ -9,7 +9,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import (BslForm, ConfigError, LossKind, LossSpec, NegSampler,
-                     SamplingMode, TrainConfig, check_range)
+                     SamplingMode, TrainConfig, check_range, check_whole)
 from .data import Dataset, atomic_open
 from .losses import ScoreBatch, bsl_loss, loss_fn_from_spec
 from .sampling import (SamplerState, sample_negatives, sample_negatives_batch,
@@ -58,6 +58,7 @@ class EmbeddingTable:
 def init_embeddings(n_users: int, n_items: int, d: int, seed: int) -> EmbeddingTable:
     """Xavier-uniform init: entries in +-sqrt(6 / (d + d)), deterministic per seed."""
     check_range("d", d, 1, math.inf)
+    d = check_whole("d", d)
     bound = math.sqrt(6.0 / (d + d))
     rng = np.random.default_rng(seed)
     user_vecs = rng.uniform(-bound, bound, size=(n_users, d))
@@ -84,42 +85,45 @@ def _normalize_backward(x_raw, norms, shifts, grad_hat) -> np.ndarray:
 
 
 @dataclass
-class CosineContext:
-    """Enough state to push score gradients back to raw embedding rows."""
+class UnitRows:
+    """Raw rows with their unit rows and norms: the one owner of the cosine
+    normalization's Jacobian, which every score gradient passes through."""
 
-    user: int
-    items: np.ndarray
-    u_raw: np.ndarray
-    u_hat: np.ndarray
-    u_norm: float
-    u_shift: float
-    i_raw: np.ndarray
-    i_hat: np.ndarray
-    i_norms: np.ndarray
-    i_shifts: np.ndarray
+    raw: np.ndarray
+    hat: np.ndarray
+    norms: np.ndarray
+    shifts: np.ndarray
+
+    @classmethod
+    def of(cls, raw: np.ndarray) -> "UnitRows":
+        return cls(raw, *_normalize_rows(raw))
+
+    def backward(self, grad_hat: np.ndarray) -> np.ndarray:
+        """Chain a gradient on the unit rows back to the raw rows."""
+        return _normalize_backward(self.raw, self.norms, self.shifts, grad_hat)
+
+
+@dataclass
+class CosineContext:
+    """Enough state to push score gradients back to raw embedding rows:
+    the user's row as a one-row table ``u``, and the item rows ``i``."""
+
+    u: UnitRows
+    i: UnitRows
 
     def backward(self, grad_scores: np.ndarray):
         grad_scores = np.asarray(grad_scores, dtype=np.float64)
-        g_uhat = grad_scores @ self.i_hat
-        grad_u = _normalize_backward(self.u_raw[None, :], np.array([self.u_norm]),
-                                     np.array([self.u_shift]), g_uhat[None, :])[0]
-        g_ihat = grad_scores[:, None] * self.u_hat[None, :]
-        grad_items = _normalize_backward(self.i_raw, self.i_norms, self.i_shifts, g_ihat)
+        grad_u = self.u.backward((grad_scores @ self.i.hat)[None, :])[0]
+        grad_items = self.i.backward(grad_scores[:, None] * self.u.hat)
         return grad_u, grad_items
 
 
 def cosine_score(emb: EmbeddingTable, user: int, items) -> tuple[np.ndarray, CosineContext]:
     """Cosine similarity between a user and a set of items, with Jacobian state."""
     items = np.asarray(items, dtype=np.int64).ravel()
-    u_raw = emb.user_vecs[user]
-    u_hat, u_norm, u_shift = _normalize_rows(u_raw[None, :])
-    i_raw = emb.item_vecs[items]
-    i_hat, i_norms, i_shifts = _normalize_rows(i_raw)
-    scores = i_hat @ u_hat[0]
-    ctx = CosineContext(user=user, items=items, u_raw=u_raw, u_hat=u_hat[0],
-                        u_norm=float(u_norm[0]), u_shift=float(u_shift[0]),
-                        i_raw=i_raw, i_hat=i_hat, i_norms=i_norms, i_shifts=i_shifts)
-    return scores, ctx
+    u = UnitRows.of(emb.user_vecs[user][None, :])
+    i = UnitRows.of(emb.item_vecs[items])
+    return i.hat @ u.hat[0], CosineContext(u, i)
 
 
 #: Bytes of one block of cosine scores at up to SCORE_BLOCK_MAX_ITEMS items:
@@ -303,10 +307,7 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
     the scatter. Every sum keeps row order, so the result equals the
     unchunked computation exactly.
     """
-    users = np.asarray(users, dtype=np.int64)
-    pos_items = np.asarray(pos_items, dtype=np.int64)
-    neg_items = np.asarray(neg_items, dtype=np.int64)
-    b, m = neg_items.shape
+    b, m = np.shape(neg_items)
     d = emb.d
 
     if unique is None:
@@ -314,21 +315,18 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
     uniq_users, u_inv, uniq_items, i_inv = unique
     p_inv, j_inv = i_inv[:b], i_inv[b:].reshape(b, m)
 
-    uu_raw = emb.user_vecs[uniq_users]
-    ii_raw = emb.item_vecs[uniq_items]
-    uu_hat, uu_norms, uu_shifts = _normalize_rows(uu_raw)
-    ii_hat, ii_norms, ii_shifts = _normalize_rows(ii_raw)
+    uu, ii = map(UnitRows.of, (emb.user_vecs[uniq_users], emb.item_vecs[uniq_items]))
 
-    u_hat = uu_hat[u_inv]
-    p_hat = ii_hat[p_inv]
+    u_hat = uu.hat[u_inv]
+    p_hat = ii.hat[p_inv]
 
     rows = max(1, GATHER_CHUNK_BYTES // (m * d * 8))
     chunks = [(lo, min(lo + rows, b)) for lo in range(0, b, rows)]
     j_hat = np.empty((min(rows, b), m, d))
 
     def gathered(lo, hi):
-        # i_inv indexes ii_hat by construction, so no bounds pass is needed
-        return np.take(ii_hat, j_inv[lo:hi], axis=0, out=j_hat[:hi - lo], mode="clip")
+        # i_inv indexes ii.hat by construction, so no bounds pass is needed
+        return np.take(ii.hat, j_inv[lo:hi], axis=0, out=j_hat[:hi - lo], mode="clip")
 
     pos_scores = np.sum(u_hat * p_hat, axis=1)
     neg_scores = np.empty((b, m))
@@ -357,9 +355,8 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
     user_hat_grads = _scatter_rows(u_inv, g_uhat, uniq_users.size)
     item_hat_grads = _scatter_rows(i_inv, (d, item_block), uniq_items.size)
 
-    user_grads = _normalize_backward(uu_raw, uu_norms, uu_shifts, user_hat_grads)
-    item_grads = _normalize_backward(ii_raw, ii_norms, ii_shifts, item_hat_grads)
-    return res.value, uniq_users, user_grads, uniq_items, item_grads
+    return (res.value, uniq_users, uu.backward(user_hat_grads),
+            uniq_items, ii.backward(item_hat_grads))
 
 
 def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
@@ -383,10 +380,7 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
     uniq_users, u_inv, uniq_items, i_inv = unique
     n_items = uniq_items.size
 
-    uu_raw = emb.user_vecs[uniq_users]
-    ii_raw = emb.item_vecs[uniq_items]
-    uu_hat, uu_norms, uu_shifts = _normalize_rows(uu_raw)
-    ii_hat, ii_norms, ii_shifts = _normalize_rows(ii_raw)
+    uu, ii = map(UnitRows.of, (emb.user_vecs[uniq_users], emb.item_vecs[uniq_items]))
 
     # keys[e] are example e's flat (user, item) positions in S: its positive
     # in column 0, its negatives after it
@@ -403,7 +397,7 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
         hi = min(lo + rows, uniq_users.size)
         ex = np.flatnonzero((u_inv >= lo) & (u_inv < hi))
         ex_keys = keys[ex] - lo * n_items
-        s = np.matmul(uu_hat[lo:hi], ii_hat.T, out=block[:hi - lo])
+        s = np.matmul(uu.hat[lo:hi], ii.hat.T, out=block[:hi - lo])
         scores[ex] = np.take(s, ex_keys)
         blocks.append((lo, hi, ex, ex_keys))
     del block
@@ -417,12 +411,11 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
     for lo, hi, ex, ex_keys in blocks:
         g = np.bincount(ex_keys.ravel(), weights=grads[ex].ravel(),
                         minlength=(hi - lo) * n_items).reshape(hi - lo, n_items)
-        np.matmul(g, ii_hat, out=user_hat_grads[lo:hi])
-        item_hat_grads += g.T @ uu_hat[lo:hi]
+        np.matmul(g, ii.hat, out=user_hat_grads[lo:hi])
+        item_hat_grads += g.T @ uu.hat[lo:hi]
 
-    user_grads = _normalize_backward(uu_raw, uu_norms, uu_shifts, user_hat_grads)
-    item_grads = _normalize_backward(ii_raw, ii_norms, ii_shifts, item_hat_grads)
-    return res.value, uniq_users, user_grads, uniq_items, item_grads
+    return (res.value, uniq_users, uu.backward(user_hat_grads),
+            uniq_items, ii.backward(item_hat_grads))
 
 
 def _off_diagonal(square: np.ndarray) -> np.ndarray:
@@ -447,12 +440,9 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
         raise ValueError("in-batch mode needs two or more (user, item) pairs")
     b = users.size
 
-    u_raw = emb.user_vecs[users]
-    i_raw = emb.item_vecs[items]
-    u_hat, u_norms, u_shifts = _normalize_rows(u_raw)
-    i_hat, i_norms, i_shifts = _normalize_rows(i_raw)
+    u, i = map(UnitRows.of, (emb.user_vecs[users], emb.item_vecs[items]))
 
-    sim = u_hat @ i_hat.T
+    sim = u.hat @ i.hat.T
     pos_scores = np.diag(sim).copy()
     neg_scores = _off_diagonal(sim).reshape(b, b - 1)
     res = loss_fn(ScoreBatch(pos_scores, neg_scores))
@@ -463,10 +453,8 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
     g_sim.ravel()[::b + 1] = res.grad_pos
     _off_diagonal(g_sim)[...] = res.grad_neg.reshape(b - 1, b)
 
-    g_uhat = g_sim @ i_hat
-    g_ihat = g_sim.T @ u_hat
-    g_u = _normalize_backward(u_raw, u_norms, u_shifts, g_uhat)
-    g_i = _normalize_backward(i_raw, i_norms, i_shifts, g_ihat)
+    g_uhat, g_ihat = g_sim @ i.hat, g_sim.T @ u.hat
+    g_u, g_i = u.backward(g_uhat), i.backward(g_ihat)
 
     uniq_users, u_inv = np.unique(users, return_inverse=True)
     user_grads = _scatter_rows(u_inv, g_u, uniq_users.size)

@@ -736,3 +736,47 @@ def test_per_epoch_time_holds_the_epochs_own_evaluation(tmp_path, monkeypatch):
     per_epoch = json.loads((out / "manifest.json").read_text())["timing"]["per_epoch_s"]
     assert len(per_epoch) == 3
     assert all(t >= pause for t in per_epoch), per_epoch
+
+
+@pytest.mark.parametrize("settings, sweep", [
+    (dict(n_negatives=0), ["--r-noise-values", "0"]),
+    ({}, ["--n-negatives-values", "0"]),
+], ids=["config", "axis"])
+def test_in_batch_sweep_without_negatives_exits_2_with_no_output(tmp_path, capsys,
+                                                                 settings, sweep):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, sampling_mode="in_batch", tau_grid="0.1,0.2", **settings)
+    out = tmp_path / "sweep"
+    assert main(["noise-sweep", "--config", str(cfg), "--out", str(out), *sweep]) == 2
+    assert "n_negatives" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SWEEP_ONE_CELL = ["--r-noise-values", "0"]
+
+
+@pytest.mark.parametrize("command, extra", [("train", []), ("noise-sweep", SWEEP_ONE_CELL)])
+def test_seed_flags_that_disagree_exit_2_with_no_output(tmp_path, capsys, command, extra):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, epochs=2, tau_grid="0.2")
+    out = tmp_path / "out"
+    assert main(["--seed", "1", command, "--config", str(cfg), "--out", str(out),
+                 "--rng-seed", "2", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--rng-seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, output", [
+    ("train", [], "epochs.csv"), ("noise-sweep", SWEEP_ONE_CELL, "sweep.csv")])
+def test_seed_flags_that_agree_run_as_either_flag_alone(tmp_path, command, extra, output):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, epochs=2, tau_grid="0.2")
+    runs = {"both": ["--seed", "4", command, "--rng-seed", "4"],
+            "seed": ["--seed", "4", command], "rng-seed": [command, "--rng-seed", "4"]}
+    written = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert main([*flags, "--config", str(cfg), "--out", str(out), *extra]) == 0
+        written[name] = (out / output).read_bytes()
+    assert written["both"] == written["seed"] == written["rng-seed"]

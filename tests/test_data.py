@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from recdro.config import (ConfigError, DEFAULT_TAU_GRID, LossKind, SamplingMode,
-                           build_config, config_as_dict, load_config,
-                           override_config, parse_config_text)
+from recdro.config import (ConfigError, DEFAULT_TAU_GRID, ExperimentConfig, LossKind,
+                           LossSpec, SamplingMode, TrainConfig, build_config,
+                           config_as_dict, load_config, override_config,
+                           parse_config_text)
 from recdro.data import (DataFormatError, Dataset, load_dataset,
                          popularity_groups, save_dataset)
+from recdro.evaluate import evaluate, report_as_dict
+from recdro.model import init_embeddings, train
 from recdro.synthetic import dataset_with_popularity, random_interactions
 
 
@@ -267,3 +270,47 @@ class TestTrainingCsr:
         assert "indptr" not in vars(ds) and "indices" not in vars(ds)
         ds.train_pairs()
         assert "indptr" in vars(ds) and "indices" in vars(ds)
+
+
+def small_split():
+    return Dataset.from_positive_lists([[0, 1], [2, 3], [1]], [[2], [0], [3]], n_items=5)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("embedding_dim", lambda: TrainConfig(embedding_dim=2.5).validate()),
+    ("batch_size", lambda: TrainConfig(batch_size=7.5).validate()),
+    ("epochs", lambda: TrainConfig(epochs=1.5).validate()),
+    ("n_negatives", lambda: TrainConfig(n_negatives=2.5).validate()),
+    ("eval_every", lambda: ExperimentConfig(eval_every=2.5).validate()),
+    ("eval_ks", lambda: ExperimentConfig(eval_ks=(5, 2.5)).validate()),
+    ("d", lambda: init_embeddings(3, 4, 2.5, seed=0)),
+    ("n_users", lambda: Dataset.from_positive_lists([[0]], [[1]], n_users=2.7)),
+    ("n_items", lambda: Dataset.from_positive_lists([[0]], [[1]], n_items=5.9)),
+    ("n_groups", lambda: popularity_groups(small_split(), 1.5)),
+    ("n_groups", lambda: evaluate(init_embeddings(3, 5, 4, seed=0), small_split(), [5],
+                                  n_groups=2.5)),
+], ids=["embedding_dim", "batch_size", "epochs", "n_negatives", "eval_every", "eval_ks",
+        "init_embeddings_d", "n_users", "n_items", "popularity_groups",
+        "evaluate_n_groups"])
+def test_fractional_count_is_a_config_error_naming_the_setting(name, call):
+    with pytest.raises(ConfigError, match=f"^{name} must be a whole number"):
+        call()
+
+
+def test_whole_floats_and_numpy_integers_count_as_their_int():
+    ds = small_split()
+    assert Dataset.from_positive_lists(ds.train_pos, ds.test_pos, n_users=np.int64(3),
+                                       n_items=5.0).equals(ds)
+    assert np.array_equal(popularity_groups(ds, 2.0), popularity_groups(ds, 2))
+    emb = init_embeddings(3, 5, 4.0, seed=0)
+    assert np.array_equal(emb.user_vecs, init_embeddings(3, 5, np.int64(4), seed=0).user_vecs)
+    expected = report_as_dict(evaluate(emb, ds, [5], n_groups=2))
+    assert report_as_dict(evaluate(emb, ds, [5], n_groups=2.0)) == expected
+    assert report_as_dict(evaluate(emb, ds, [5], n_groups=np.int64(2))) == expected
+
+    spec = LossSpec(kind=LossKind.SL, tau=0.2)
+    whole = TrainConfig(embedding_dim=4, epochs=2, batch_size=3, n_negatives=2)
+    floats = TrainConfig(embedding_dim=4.0, epochs=2.0, batch_size=3.0, n_negatives=2.0)
+    assert floats == whole
+    (a, log_a), (b, log_b) = train(ds, whole, spec), train(ds, floats, spec)
+    assert np.array_equal(a.user_vecs, b.user_vecs) and log_a == log_b

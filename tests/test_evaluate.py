@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from recdro.config import ConfigError, LossKind, LossSpec, TrainConfig
+from recdro.config import ConfigError, LossKind, LossSpec, SamplingMode, TrainConfig
 from recdro.data import Dataset
 from recdro.evaluate import (evaluate, grid_search_train, noise_sweep,
                              rank_items, report_as_dict, report_rows)
@@ -489,3 +489,21 @@ def test_cutoffs_must_be_whole_numbers():
     expected = report_as_dict(evaluate(emb, ds, [5]))
     assert report_as_dict(evaluate(emb, ds, [np.int64(5)])) == expected
     assert report_as_dict(evaluate(emb, ds, [5.0])) == expected
+
+
+@pytest.mark.parametrize("cfg_negatives, axes", [
+    (0, dict(r_values=[0.0])),
+    (8, dict(n_negatives_values=[0])),
+], ids=["config", "axis"])
+def test_in_batch_sweep_without_negatives_fails_before_training(monkeypatch, cfg_negatives,
+                                                                 axes):
+    # the radius estimates draw cfg.n_negatives negatives in every sampling mode
+    trained = []
+    monkeypatch.setattr(evaluate_module, "train",
+                        lambda *args, **kwargs: trained.append(args))
+    ds = planted_clusters(n_users=20, n_items=15, seed=1)
+    cfg = TrainConfig(epochs=1, embedding_dim=4, batch_size=8, n_negatives=cfg_negatives,
+                      sampling_mode=SamplingMode.IN_BATCH)
+    with pytest.raises(ConfigError, match="^n_negatives must"):
+        noise_sweep(ds, cfg, LossSpec(kind=LossKind.SL), tau_grid=(0.1, 0.2), **axes)
+    assert trained == []

@@ -9,7 +9,8 @@ from recdro.config import (BslForm, ConfigError, LossKind, LossSpec, NegSampler,
 from recdro.data import Dataset
 from recdro.losses import LossResult, ScoreBatch, bsl_loss, loss_fn_from_spec
 from recdro.model import (AdamState, CheckpointError, EmbeddingTable,
-                          TrainingDivergedError, cosine_score, dense_batch_grads,
+                          TrainingDivergedError, UnitRows, _normalize_backward,
+                          _normalize_rows, cosine_score, dense_batch_grads,
                           inbatch_batch_grads, init_embeddings, load_checkpoint,
                           sampled_batch_grads, save_checkpoint, score_all_items,
                           train, unique_rows)
@@ -93,6 +94,44 @@ class TestCosineScore:
         assert np.isfinite(scores).all()
         gu, gi = ctx.backward(np.ones(2))
         assert np.isfinite(gu).all() and np.isfinite(gi).all()
+
+    @pytest.mark.parametrize("user, items", [(1, [0, 2, 5]), (1, [3, 0, 3, 3]),
+                                             (0, [1, 4, 1])],
+                             ids=["distinct", "repeated-item", "zero-user"])
+    def test_backward_matches_the_written_out_chain(self, user, items):
+        rng = np.random.default_rng(8)
+        user_vecs = rng.normal(size=(3, 8))
+        user_vecs[0] = 0.0
+        emb = EmbeddingTable(user_vecs, rng.normal(size=(6, 8)))
+        g = rng.normal(size=len(items))
+        scores, ctx = cosine_score(emb, user, items)
+        grad_u, grad_items = ctx.backward(g)
+
+        # the chain as each step was once spelled out by hand
+        u_raw, i_raw = emb.user_vecs[user], emb.item_vecs[items]
+        u_hat, u_norm, u_shift = _normalize_rows(u_raw[None, :])
+        i_hat, i_norms, i_shifts = _normalize_rows(i_raw)
+        want_u = _normalize_backward(u_raw[None, :], np.array([float(u_norm[0])]),
+                                     np.array([float(u_shift[0])]), (g @ i_hat)[None, :])[0]
+        want_items = _normalize_backward(i_raw, i_norms, i_shifts,
+                                         g[:, None] * u_hat[0][None, :])
+        assert np.array_equal(scores, i_hat @ u_hat[0])
+        assert np.array_equal(grad_u, want_u)
+        assert np.array_equal(grad_items, want_items)
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (5, 3), (4, 2, 6)])
+def test_unit_rows_are_normalize_rows_and_its_backward(shape):
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=shape)
+    x[0] = 0.0
+    g = rng.normal(size=shape)
+    rows = UnitRows.of(x)
+    hat, norms, shifts = _normalize_rows(x)
+    assert rows.raw is x
+    for got, want in ((rows.hat, hat), (rows.norms, norms), (rows.shifts, shifts)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(rows.backward(g), _normalize_backward(x, *_normalize_rows(x)[1:], g))
 
 
 class TestScoreAllItems:

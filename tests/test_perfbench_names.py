@@ -1,16 +1,21 @@
-"""The names the benchmark's tracer patches exist, and are put back.
+"""The names the benchmark reaches in recdro exist, and patched ones are put back.
 
 ``perfbench/tracer.py`` rebinds recdro functions by module attribute to time
-each layer. A renamed or moved function would otherwise break only the
+each layer, and ``perfbench/workloads.py`` calls recdro through module
+attributes. A renamed or moved function would otherwise break only the
 benchmark's own suite, which the tier-1 run does not collect.
 """
 
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import recdro.cli  # noqa: F401  (the tracer reads the modules from sys.modules)
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
 
 
 def load_tracer():
@@ -35,3 +40,41 @@ def test_instrumentation_restores_every_original():
     with tracer.Instrumentation(tracer.Tracer(), tracer.LAYER):
         assert all(vars(owner)[attr] is not raw for owner, attr, raw in originals)
     assert all(vars(owner)[attr] is raw for owner, attr, raw in originals)
+
+
+def module_aliases(tree):
+    """``{name: module}`` for each ``name = sys.modules["recdro..."]`` line."""
+    aliases = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Subscript)
+                and ast.unparse(node.value.value) == "sys.modules"):
+            aliases[node.targets[0].id] = sys.modules[ast.literal_eval(node.value.slice)]
+    return aliases
+
+
+def test_every_name_the_workloads_reach_exists():
+    tree = ast.parse(WORKLOADS_PATH.read_text(encoding="utf-8"))
+    aliases = module_aliases(tree)
+    reached, missing = [], []
+    for node in ast.walk(tree):
+        # every attribute chain rooted at an alias, such as
+        # data.Dataset.from_positive_lists (and its prefix data.Dataset)
+        chain, root = [], node
+        while isinstance(root, ast.Attribute):
+            chain.insert(0, root.attr)
+            root = root.value
+        if not (chain and isinstance(root, ast.Name) and root.id in aliases):
+            continue
+        name, owner = ".".join([root.id, *chain]), aliases[root.id]
+        reached.append(name)
+        for attr in chain:
+            if not hasattr(owner, attr):
+                missing.append(name)
+                break
+            owner = getattr(owner, attr)
+    assert {"model.train", "model.score_all_items", "model.load_checkpoint",
+            "evaluate.evaluate", "cli.main", "data.load_dataset",
+            "data.Dataset.from_positive_lists"} <= set(reached)
+    assert not missing, missing
