@@ -40,15 +40,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, timing=None) -> None:
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig, datasets: dict,
+                    timing=None) -> None:
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "seed": cfg.train.rng_seed,
         "config": config_as_dict(cfg),
-        "datasets": {
-            "train": {"path": cfg.train_file, "sha256": _sha256(Path(cfg.train_file))},
-            "test": {"path": cfg.test_file, "sha256": _sha256(Path(cfg.test_file))},
-        },
+        "datasets": datasets,
         "timing": timing,
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -60,16 +58,16 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _check_resume(out_dir: Path, cfg: ExperimentConfig) -> None:
+def _check_resume(out_dir: Path, datasets: dict) -> None:
     """Abort before touching outputs if an old manifest hashes differently."""
     path = out_dir / "manifest.json"
     if not path.exists():
         return
     with open(path, "r", encoding="utf-8") as fh:
         old = json.load(fh)
-    for split, data_path in (("train", cfg.train_file), ("test", cfg.test_file)):
+    for split, entry in datasets.items():
         recorded = old.get("datasets", {}).get(split, {}).get("sha256")
-        if recorded and recorded != _sha256(Path(data_path)):
+        if recorded and recorded != entry["sha256"]:
             raise RuntimeError(
                 f"{split} dataset hash mismatch against existing manifest in {out_dir}; "
                 "refusing to overwrite outputs")
@@ -114,10 +112,13 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     # a split that fails to load or prepare leaves no output behind
     ds, train_cfg = prepare_dataset(_load_split(cfg), cfg.train)
+    # each split hashed once, as loaded, for the resume check and both manifests
+    datasets = {split: {"path": path, "sha256": _sha256(Path(path))}
+                for split, path in (("train", cfg.train_file), ("test", cfg.test_file))}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _check_resume(out_dir, cfg)
-    _write_manifest(out_dir, cfg)
+    _check_resume(out_dir, datasets)
+    _write_manifest(out_dir, cfg, datasets)
 
     ks = cfg.eval_ks
     metric_cols = [f"{name}@{k}" for name in ("recall", "ndcg") for k in ks]
@@ -159,8 +160,8 @@ def cmd_train(args) -> int:
         row += [repr(entry[c]) if c in entry else "" for c in metric_cols]
         rows.append(row)
     _write_csv(out_dir / "epochs.csv", ["epoch", "mean_loss"] + metric_cols, rows)
-    _write_manifest(out_dir, cfg, timing={"wall_clock_s": wall,
-                                          "per_epoch_s": epoch_times})
+    _write_manifest(out_dir, cfg, datasets, timing={"wall_clock_s": wall,
+                                                    "per_epoch_s": epoch_times})
     return 0
 
 
@@ -213,11 +214,13 @@ def cmd_dro_diagnose(args) -> int:
     taus = check_values("--taus", _parse_float_list(args.taus), MIN_TAU)
     check_range("--batches", args.batches, 1, math.inf)
     check_range("--n-negatives", args.n_negatives, 1, math.inf)
+    seed = 0 if args.seed is None else args.seed
+    check_range("--seed", seed, 0, math.inf)
     emb, ds = _load_scored(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sampler = SamplerState.create(seed=args.seed if args.seed is not None else 0)
+    sampler = SamplerState.create(seed=seed)
     rng = np.random.default_rng(sampler.rng.integers(2 ** 32))
     users_with_train = [u for u in range(ds.n_users) if ds.train_pos[u].size
                         and ds.train_pos[u].size < ds.n_items]

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -79,6 +80,13 @@ class NegSampler(enum.Enum):
 DEFAULT_TAU_GRID = (0.05, 0.07, 0.09, 0.10, 0.11, 0.12, 0.15, 0.20, 0.5, 1.0)
 
 
+@functools.cache
+def _int_settings(cls) -> tuple[str, ...]:
+    """The fields of config dataclass ``cls`` declared ``int``: whole numbers only."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if hints[f.name] is int)
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss to optimize and its temperatures.
@@ -118,14 +126,10 @@ class TrainConfig:
     pos_noise_ratio: float = 0.0
     rng_seed: int = 0
 
-    # the settings that count something: validate() takes whole numbers only
-    _WHOLE_FIELDS: ClassVar[tuple[str, ...]] = (
-        "embedding_dim", "n_negatives", "batch_size", "epochs")
-
     def __post_init__(self):
         # a whole float such as 5.0 is kept as the int it names, so that
         # range() and array shapes take it
-        for name in self._WHOLE_FIELDS:
+        for name in _int_settings(type(self)):
             value = getattr(self, name)
             if isinstance(value, float) and value.is_integer():
                 object.__setattr__(self, name, int(value))
@@ -135,9 +139,10 @@ class TrainConfig:
         for name, lo in (("embedding_dim", 1), ("learning_rate", 0), ("l2_reg", 0),
                          ("n_negatives", 1), ("epochs", 0),
                          ("batch_size", 2 if in_batch else 1),
-                         ("popularity_exponent", -math.inf), ("r_noise", 0)):
+                         ("popularity_exponent", -math.inf), ("r_noise", 0),
+                         ("rng_seed", 0)):
             check_range(name, getattr(self, name), lo, math.inf)
-        for name in self._WHOLE_FIELDS:
+        for name in _int_settings(type(self)):
             check_whole(name, getattr(self, name))
         check_range("pos_noise_ratio", self.pos_noise_ratio, 0, 1)
 
@@ -196,32 +201,31 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(t) for t in text.replace(",", " ").split())
 
 
-# key -> (section, attribute, parser); section "" targets ExperimentConfig.
-CONFIG_KEYS = {
-    "train_file": ("", "train_file", str),
-    "test_file": ("", "test_file", str),
-    "eval_every": ("", "eval_every", _parse_int),
-    "eval_ks": ("", "eval_ks", _parse_int_list),
-    "tau_grid": ("", "tau_grid", _parse_float_list),
-    "loss": ("loss", "kind", _parse_enum(LossKind)),
-    "tau": ("loss", "tau", _parse_float),
-    "tau_pos": ("loss", "tau_pos", _parse_float),
-    "tau_neg": ("loss", "tau_neg", _parse_float),
-    "bce_mse_balance": ("loss", "bce_mse_balance", _parse_float),
-    "bsl_form": ("loss", "bsl_form", _parse_enum(BslForm)),
-    "embedding_dim": ("train", "embedding_dim", _parse_int),
-    "learning_rate": ("train", "learning_rate", _parse_float),
-    "l2_reg": ("train", "l2_reg", _parse_float),
-    "n_negatives": ("train", "n_negatives", _parse_int),
-    "batch_size": ("train", "batch_size", _parse_int),
-    "epochs": ("train", "epochs", _parse_int),
-    "sampling_mode": ("train", "sampling_mode", _parse_enum(SamplingMode)),
-    "neg_sampler": ("train", "neg_sampler", _parse_enum(NegSampler)),
-    "popularity_exponent": ("train", "popularity_exponent", _parse_float),
-    "r_noise": ("train", "r_noise", _parse_float),
-    "pos_noise_ratio": ("train", "pos_noise_ratio", _parse_float),
-    "rng_seed": ("train", "rng_seed", _parse_int),
-}
+def _parser(hint):
+    """The text parser of a setting declared with type ``hint``."""
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return _parse_enum(hint)
+    return {str: str, int: _parse_int, float: _parse_float,
+            tuple[int, ...]: _parse_int_list, tuple[float, ...]: _parse_float_list}[hint]
+
+
+def _config_keys() -> dict:
+    """key -> (section, attribute, parser), read off the config dataclasses.
+
+    Section "" targets ExperimentConfig, whose two section fields are skipped;
+    every key is its field's name except ``loss``, for ``LossSpec.kind``.
+    """
+    keys = {}
+    for section, cls in (("", ExperimentConfig), ("loss", LossSpec), ("train", TrainConfig)):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if not is_dataclass(hints[f.name]):
+                key = "loss" if (section, f.name) == ("loss", "kind") else f.name
+                keys[key] = (section, f.name, _parser(hints[f.name]))
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -283,12 +287,7 @@ def config_as_dict(cfg: ExperimentConfig) -> dict[str, str]:
 
 def override_config(cfg: ExperimentConfig, pairs: dict[str, str]) -> ExperimentConfig:
     """Apply raw key/value overrides on top of an existing config."""
-    merged = config_as_dict(cfg)
-    for key, value in pairs.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
-        merged[key] = value
-    return build_config(merged)
+    return build_config({**config_as_dict(cfg), **pairs})
 
 
 def spec_with_tau(spec: LossSpec, param: str, value: float) -> LossSpec:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DEFAULT_TAU_GRID, MIN_TAU, LossKind, LossSpec,
+from .config import (DEFAULT_TAU_GRID, MIN_TAU, LossKind, LossSpec, SamplingMode,
                      TrainConfig, check_values, check_whole, spec_with_tau)
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
@@ -205,8 +205,12 @@ def report_rows(report: EvalReport) -> list[tuple[str, str, str]]:
 
 
 def default_tau_param(kind: LossKind, positive_side: bool = False) -> str | None:
-    """Which LossSpec temperature a grid search should vary for this loss."""
-    if kind in (LossKind.SL, LossKind.SL_NOVAR):
+    """Which LossSpec temperature a grid search should vary for this loss.
+
+    None for a temperature-free loss: BPR, BCE, MSE and SL_NOVAR, whose
+    gradient does not depend on ``tau`` (it only checks it).
+    """
+    if kind is LossKind.SL:
         return "tau"
     if kind is LossKind.BSL:
         return "tau_pos" if positive_side else "tau_neg"
@@ -219,7 +223,6 @@ class GridSearchResult:
     best_spec: LossSpec
     emb: EmbeddingTable
     report: EvalReport
-    cells: tuple[tuple[float, float], ...]  # (tau, ndcg at selection cutoff)
 
 
 def grid_search_train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
@@ -242,18 +245,16 @@ def grid_search_train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
     select_k = selection_cutoff(eval_ks)
 
     best = None
-    cells = []
     for tau in grid:
         cell_spec = spec if tau_param is None else spec_with_tau(spec, tau_param, tau)
         emb, _ = train(ds, cfg, cell_spec)
         report = evaluate(emb, ds, eval_ks, n_groups=n_groups)
         score = report.ndcg[select_k]
-        cells.append((tau, score))
         if best is None or score > best[0]:
             best = (score, tau, cell_spec, emb, report)
     _, best_tau, best_spec, emb, report = best
     return GridSearchResult(best_tau=best_tau, best_spec=best_spec, emb=emb,
-                            report=report, cells=tuple(cells))
+                            report=report)
 
 
 def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig,
@@ -311,7 +312,12 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     the mean/median implied radius of negative batches under that model,
     taken at ``tau_neg`` for BSL and ``tau`` otherwise. Giving the pos-noise
     axis makes BSL grid ``tau_pos``, the temperature that counters positive
-    noise. Temperature-free losses train once per cell and report NaN radii.
+    noise. Temperature-free losses train once per cell and report a NaN
+    ``best_tau`` and radii.
+
+    Cells that train the same models share one grid search: cells with equal
+    configs, and in in-batch mode, which reads no sampler setting, every cell
+    at one pos-noise level. The radius is still estimated per cell.
     """
     p_axis = [float(p) for p in pos_noise_values]
     cells = []
@@ -326,11 +332,17 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     tau_param = default_tau_param(spec.kind, positive_side=bool(p_axis))
     # the radius is read at the negative-side temperature
     eta_param = default_tau_param(spec.kind)
+    # one grid per key, kept until the last cell with that key
+    in_batch = cfg.sampling_mode is SamplingMode.IN_BATCH
+    keys = [cell_cfg.pos_noise_ratio if in_batch else cell_cfg for *_, cell_cfg in cells]
+    grids = {}
     rows = []
-    for p, r, n_neg, cell_cfg in cells:
+    for i, (p, r, n_neg, cell_cfg) in enumerate(cells):
         ds_p, cell_cfg = prepare_dataset(ds, cell_cfg)
-        result = grid_search_train(ds_p, cell_cfg, spec, tau_grid=tau_grid,
-                                   tau_param=tau_param, eval_ks=eval_ks)
+        if keys[i] not in grids:
+            grids[keys[i]] = grid_search_train(ds_p, cell_cfg, spec, tau_grid=tau_grid,
+                                               tau_param=tau_param, eval_ks=eval_ks)
+        result = grids[keys[i]] if keys[i] in keys[i + 1:] else grids.pop(keys[i])
         if eta_param is None:
             eta_mean = eta_median = float("nan")
         else:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib
 import math
 import json
@@ -780,3 +781,80 @@ def test_seed_flags_that_agree_run_as_either_flag_alone(tmp_path, command, extra
         assert main([*flags, "--config", str(cfg), "--out", str(out), *extra]) == 0
         written[name] = (out / output).read_bytes()
     assert written["both"] == written["seed"] == written["rng-seed"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["train", "--rng-seed", "-1"], "rng_seed"),
+    (["--seed", "-1", "train"], "rng_seed"),
+    (["noise-sweep", "--rng-seed", "-1", *SWEEP_ONE_CELL], "rng_seed"),
+    (["--seed", "-1", "dro-diagnose"], "--seed"),
+], ids=["train-rng-seed", "train-seed", "noise-sweep", "dro-diagnose"])
+def test_negative_seed_exits_2_naming_it_before_any_output(tmp_path, capsys, argv, name):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, epochs=1, eval_every=0, tau_grid="0.2")
+    if "dro-diagnose" in argv:
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ckpt")]) == 0
+        argv = argv + ["--checkpoint", str(tmp_path / "ckpt" / "last.npz"),
+                       "--train", str(tmp_path / "train.txt"),
+                       "--test", str(tmp_path / "test.txt")]
+    else:
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_hashes_each_split_once_per_run(tmp_path, monkeypatch):
+    cli = importlib.import_module("recdro.cli")
+    hashed = []
+    real_sha256 = cli._sha256
+
+    def counting_sha256(path):
+        hashed.append(path)
+        return real_sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, epochs=1)
+    out = tmp_path / "out"
+    for run in ("fresh", "rerun"):
+        hashed.clear()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in hashed) == ["test.txt", "train.txt"], run
+
+
+def test_manifest_records_the_hash_of_the_bytes_trained_on(tmp_path, monkeypatch):
+    cli = importlib.import_module("recdro.cli")
+    write_fixture(tmp_path)
+    train_file = tmp_path / "train.txt"
+    loaded = hashlib.sha256(train_file.read_bytes()).hexdigest()
+    real_train = cli.train
+
+    def train_then_edit(*args, **kwargs):
+        with open(train_file, "a") as fh:
+            fh.write("0 1\n")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", train_then_edit)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path, epochs=1)),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["datasets"]["train"]["sha256"] == loaded
+    assert manifest["timing"] is not None
+
+
+def test_sl_novar_sweep_leaves_temperature_and_radius_blank(tmp_path):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, loss="sl_novar", epochs=2, eval_every=0,
+                       tau_grid="0.05,0.1,1.0")
+    out = tmp_path / "sweep"
+    assert main(["noise-sweep", "--config", str(cfg), "--out", str(out),
+                 *SWEEP_ONE_CELL]) == 0
+    header, values = read_rows(out / "sweep.csv")
+    row = dict(zip(header, values))
+    assert row["loss"] == "sl_novar"
+    assert row["best_tau"] == row["eta_mean"] == row["eta_median"] == ""
+    assert float(row["ndcg@20"]) > 0

@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from recdro.config import (ConfigError, DEFAULT_TAU_GRID, ExperimentConfig, LossKind,
-                           LossSpec, SamplingMode, TrainConfig, build_config,
-                           config_as_dict, load_config, override_config,
-                           parse_config_text)
+from recdro.config import (CONFIG_KEYS, BslForm, ConfigError, DEFAULT_TAU_GRID,
+                           ExperimentConfig, LossKind, LossSpec, NegSampler, SamplingMode,
+                           TrainConfig, build_config, config_as_dict, load_config,
+                           override_config, parse_config_text)
 from recdro.data import (DataFormatError, Dataset, load_dataset,
                          popularity_groups, save_dataset)
 from recdro.evaluate import evaluate, report_as_dict
@@ -314,3 +318,61 @@ def test_whole_floats_and_numpy_integers_count_as_their_int():
     assert floats == whole
     (a, log_a), (b, log_b) = train(ds, whole, spec), train(ds, floats, spec)
     assert np.array_equal(a.user_vecs, b.user_vecs) and log_a == log_b
+
+
+def test_every_setting_reads_back_its_own_text():
+    cfg = ExperimentConfig(
+        train_file="a/train.txt", test_file="a/test.txt", eval_every=3, eval_ks=(5, 10),
+        tau_grid=(0.2, 0.3),
+        loss=LossSpec(kind=LossKind.BSL, tau=0.3, tau_pos=0.4, tau_neg=0.5,
+                      bce_mse_balance=0.7, bsl_form=BslForm.CANONICAL),
+        train=TrainConfig(embedding_dim=8, learning_rate=0.01, l2_reg=1e-4, n_negatives=5,
+                          batch_size=32, epochs=3, sampling_mode=SamplingMode.IN_BATCH,
+                          neg_sampler=NegSampler.POPULARITY, popularity_exponent=0.5,
+                          r_noise=0.25, pos_noise_ratio=0.1, rng_seed=9))
+    defaults = config_as_dict(ExperimentConfig())
+    assert [key for key, value in config_as_dict(cfg).items() if value == defaults[key]] == []
+    assert build_config(config_as_dict(cfg)) == cfg
+
+
+def numeric_settings():
+    """(class, field, declared type) of every numeric setting of the config classes."""
+    numeric = (int, float, tuple[int, ...], tuple[float, ...])
+    for cls in (ExperimentConfig, LossSpec, TrainConfig):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if hints[f.name] in numeric:
+                yield cls, f.name, hints[f.name]
+
+
+def bad_value_cases():
+    for cls, name, hint in numeric_settings():
+        default = getattr(cls(), name)
+        for value in [math.nan] + ([2.5] if int in (hint, *typing.get_args(hint)) else []):
+            if isinstance(default, tuple):  # each entry in turn
+                for i in range(len(default)):
+                    yield pytest.param(cls, name, default[:i] + (value,) + default[i + 1:],
+                                       id=f"{name}[{i}]-{value}")
+            else:
+                yield pytest.param(cls, name, value, id=f"{name}-{value}")
+
+
+@pytest.mark.parametrize("cls, name, value", list(bad_value_cases()))
+def test_nan_or_fraction_in_a_numeric_setting_fails_naming_it(cls, name, value):
+    if cls is ExperimentConfig:
+        cfg = ExperimentConfig(**{name: value})
+    else:
+        section = "train" if cls is TrainConfig else "loss"
+        cfg = ExperimentConfig(**{section: cls(**{name: value})})
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        cfg.validate()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_builds_and_names_every_key():
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    pairs = parse_config_text(block, source=str(README))
+    build_config(pairs)
+    assert sorted(pairs) == sorted(CONFIG_KEYS)

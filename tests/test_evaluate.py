@@ -507,3 +507,53 @@ def test_in_batch_sweep_without_negatives_fails_before_training(monkeypatch, cfg
     with pytest.raises(ConfigError, match="^n_negatives must"):
         noise_sweep(ds, cfg, LossSpec(kind=LossKind.SL), tau_grid=(0.1, 0.2), **axes)
     assert trained == []
+
+
+def counting_train(monkeypatch):
+    """Spy on the ``train`` the sweeps call; returns the list of its calls."""
+    calls = []
+    real_train = evaluate_module.train
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "train", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode, axes, n_trained", [
+    (SamplingMode.IN_BATCH, dict(r_values=[0.0, 0.5], n_negatives_values=[4, 8]), 2),
+    (SamplingMode.IN_BATCH, dict(pos_noise_values=[0.0, 0.2], r_values=[0.0, 0.5]), 4),
+    (SamplingMode.NEGATIVE_SAMPLING, dict(r_values=[0.0, 0.0], n_negatives_values=[4, 8]),
+     4),
+], ids=["in-batch", "in-batch-pos-noise", "negative-sampling-equal-cells"])
+def test_sweep_trains_each_distinct_grid_once(monkeypatch, mode, axes, n_trained):
+    ds = planted_clusters(n_users=40, n_items=30, seed=3)
+    cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=2, batch_size=16,
+                      n_negatives=4, sampling_mode=mode, rng_seed=5)
+    spec = LossSpec(kind=LossKind.SL, tau=0.2)
+    trained = counting_train(monkeypatch)
+    rows = noise_sweep(ds, cfg, spec, tau_grid=(0.1, 0.2), **axes)
+    assert len(trained) == n_trained
+    for row in rows:
+        own = {"r_values": [row.r_noise], "n_negatives_values": [row.n_negatives],
+               "pos_noise_values": [row.pos_noise_ratio]}
+        one_cell = noise_sweep(ds, cfg, spec, tau_grid=(0.1, 0.2),
+                               **{axis: own[axis] for axis in axes})
+        assert one_cell == [row]
+
+
+def test_sl_novar_grid_is_one_temperature_free_run(monkeypatch):
+    ds = planted_clusters(n_users=40, n_items=30, seed=3)
+    cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=2, batch_size=64,
+                      n_negatives=4, rng_seed=5)
+    spec = LossSpec(kind=LossKind.SL_NOVAR, tau=0.2)
+    trained = counting_train(monkeypatch)
+    result = grid_search_train(ds, cfg, spec, tau_grid=(0.05, 0.1, 1.0))
+    assert len(trained) == 1
+    assert math.isnan(result.best_tau) and result.best_spec == spec
+    (row,) = noise_sweep(ds, cfg, spec, [0.0], tau_grid=(0.05, 0.1, 1.0))
+    assert len(trained) == 2
+    assert math.isnan(row.best_tau)
+    assert math.isnan(row.eta_mean) and math.isnan(row.eta_median)
