@@ -22,9 +22,14 @@ def check_range(name: str, value, lo: float, hi: float) -> float:
     """``float(value)`` if it is finite and ``lo <= value < hi``.
 
     The one range rule for settings, flags and library arguments; NaN fails
-    it. A failure is a :class:`ConfigError` that names the setting.
+    it, and so does an int that no float can hold. A failure is a
+    :class:`ConfigError` that names the setting.
     """
-    if not (lo <= value < hi and math.isfinite(value)):
+    try:
+        ok = lo <= value < hi and math.isfinite(value)
+    except OverflowError:  # an int too large to convert to float
+        ok = False
+    if not ok:
         raise ConfigError(f"{name} must be finite and lie in [{lo:g}, {hi:g}), got {value}")
     return float(value)
 

@@ -294,6 +294,14 @@ class NoiseSweepRow:
     eta_median: float
 
 
+def _shared(cache: dict, keys: list, i: int, make):
+    """``cache[keys[i]]``, made by ``make()`` at the first cell with that key
+    and dropped from ``cache`` at the last."""
+    if keys[i] not in cache:
+        cache[keys[i]] = make()
+    return cache[keys[i]] if keys[i] in keys[i + 1:] else cache.pop(keys[i])
+
+
 def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
                 tau_grid=None, eval_ks=(20,), n_negatives_values=(),
                 pos_noise_values=()) -> list[NoiseSweepRow]:
@@ -315,9 +323,10 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     noise. Temperature-free losses train once per cell and report a NaN
     ``best_tau`` and radii.
 
-    Cells that train the same models share one grid search: cells with equal
-    configs, and in in-batch mode, which reads no sampler setting, every cell
-    at one pos-noise level. The radius is still estimated per cell.
+    Cells at one pos-noise level share one prepared split. Cells that train
+    the same models share one grid search: cells with equal configs, and in
+    in-batch mode, which reads no sampler setting, every cell at one
+    pos-noise level. The radius is still estimated per cell.
     """
     p_axis = [float(p) for p in pos_noise_values]
     cells = []
@@ -332,17 +341,19 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     tau_param = default_tau_param(spec.kind, positive_side=bool(p_axis))
     # the radius is read at the negative-side temperature
     eta_param = default_tau_param(spec.kind)
-    # one grid per key, kept until the last cell with that key
+    # one split per pos-noise level and one grid per key, each made at the
+    # first cell with its key and kept until the last
+    ratios = [cell_cfg.pos_noise_ratio for *_, cell_cfg in cells]
     in_batch = cfg.sampling_mode is SamplingMode.IN_BATCH
-    keys = [cell_cfg.pos_noise_ratio if in_batch else cell_cfg for *_, cell_cfg in cells]
-    grids = {}
+    keys = ratios if in_batch else [cell_cfg for *_, cell_cfg in cells]
+    splits, grids = {}, {}
     rows = []
     for i, (p, r, n_neg, cell_cfg) in enumerate(cells):
-        ds_p, cell_cfg = prepare_dataset(ds, cell_cfg)
-        if keys[i] not in grids:
-            grids[keys[i]] = grid_search_train(ds_p, cell_cfg, spec, tau_grid=tau_grid,
-                                               tau_param=tau_param, eval_ks=eval_ks)
-        result = grids[keys[i]] if keys[i] in keys[i + 1:] else grids.pop(keys[i])
+        ds_p = _shared(splits, ratios, i, lambda: prepare_dataset(ds, cell_cfg)[0])
+        # the ratio is spent on the split, as prepare_dataset spends it
+        cell_cfg = replace(cell_cfg, pos_noise_ratio=0.0)
+        result = _shared(grids, keys, i, lambda: grid_search_train(
+            ds_p, cell_cfg, spec, tau_grid=tau_grid, tau_param=tau_param, eval_ks=eval_ks))
         if eta_param is None:
             eta_mean = eta_median = float("nan")
         else:

@@ -200,15 +200,29 @@ class AdamState:
                    v_item=np.zeros_like(emb.item_vecs))
 
     def _update_rows(self, param, m, v, rows, grads, lr):
-        # rows are unique, so the gathered moments are what m[rows]/v[rows] hold
+        # rows are unique, so the gathered moments are what m[rows]/v[rows] hold.
+        # The operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # param -= lr m_hat / (sqrt(v_hat) + eps), in their order, run in place
+        # in the gathered rows and one scratch array: the same bits, fewer arrays
         b1, b2 = self.beta1, self.beta2
-        m_rows = b1 * m[rows] + (1.0 - b1) * grads
-        v_rows = b2 * v[rows] + (1.0 - b2) * grads * grads
+        scratch = np.multiply(grads, 1.0 - b1)
+        m_rows = m[rows]
+        m_rows *= b1
+        m_rows += scratch
         m[rows] = m_rows
+        np.multiply(grads, 1.0 - b2, out=scratch)
+        scratch *= grads
+        v_rows = v[rows]
+        v_rows *= b2
+        v_rows += scratch
         v[rows] = v_rows
-        m_hat = m_rows / (1.0 - b1 ** self.step)
-        v_hat = v_rows / (1.0 - b2 ** self.step)
-        param[rows] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_rows /= 1.0 - b1 ** self.step  # m_hat
+        v_rows /= 1.0 - b2 ** self.step  # v_hat
+        np.sqrt(v_rows, out=v_rows)
+        v_rows += self.eps
+        m_rows *= lr
+        m_rows /= v_rows
+        param[rows] -= m_rows
 
     def apply(self, emb: EmbeddingTable, user_rows, user_grads,
               item_rows, item_grads, lr: float) -> None:
@@ -268,16 +282,32 @@ def _scatter_rows(inv: np.ndarray, grads, n_rows: int) -> np.ndarray:
 DENSE_COST_RATIO = 0.5
 
 
+def _unique_inverse(ids: np.ndarray):
+    """``np.unique(ids, return_inverse=True)`` for a 1-D array of row ids.
+
+    Read off a ``max(ids) + 1`` presence table instead of a sort: the unique
+    ids are the set flags, and an id's inverse is the number of set flags
+    below it. The table is bounded by the catalog, not by the batch.
+    """
+    if ids.min(initial=0) < 0:
+        raise ValueError("row ids must be non-negative")
+    present = np.zeros(ids.max(initial=-1) + 1, dtype=bool)
+    present[ids] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return np.flatnonzero(present), rank[ids]
+
+
 def unique_rows(users, pos_items, neg_items):
     """A sampled batch's (unique users, user inverse, unique items, item inverse).
 
     The item inverse lists the positives, then the negatives row by row.
     Both training kernels take the tuple as ``unique=``.
     """
-    uniq_users, u_inv = np.unique(np.asarray(users, dtype=np.int64), return_inverse=True)
+    uniq_users, u_inv = _unique_inverse(np.asarray(users, dtype=np.int64))
     all_items = np.concatenate([np.asarray(pos_items, dtype=np.int64),
                                 np.asarray(neg_items, dtype=np.int64).ravel()])
-    uniq_items, i_inv = np.unique(all_items, return_inverse=True)
+    uniq_items, i_inv = _unique_inverse(all_items)
     return uniq_users, u_inv, uniq_items, i_inv
 
 
@@ -366,11 +396,11 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
     With U the unique users and I the unique items, each normalized once,
     an example's scores are entries of its user's row of
     ``S = U_hat @ I_hat.T``. The loss gradients are summed into
-    ``G`` (U x I) by one ``bincount``, and the hat-space gradients are
+    ``G`` (U x I) by ``np.add.at``, and the hat-space gradients are
     ``G @ I_hat`` and ``G.T @ U_hat``. Users are taken a block at a time, in
-    blocks of :func:`score_block_rows` users as in ``evaluate``, so ``S`` and
-    ``G`` never hold more than one block each: about 2 MiB up to 4096 unique
-    items, and 64 users' rows (``512 * I`` bytes) above. The sums run in another
+    blocks of :func:`score_block_rows` users as in ``evaluate``, and ``S``
+    and ``G`` share one block buffer: about 2 MiB up to 4096 unique items,
+    and 64 users' rows (``512 * I`` bytes) above. The sums run in another
     order than the reference kernel's, so the results agree with it to
     rounding, not bit for bit.
     """
@@ -400,7 +430,6 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
         s = np.matmul(uu.hat[lo:hi], ii.hat.T, out=block[:hi - lo])
         scores[ex] = np.take(s, ex_keys)
         blocks.append((lo, hi, ex, ex_keys))
-    del block
     res = loss_fn(ScoreBatch(scores[:, 0].copy(), scores[:, 1:].copy()))
 
     grads = scores  # the scores are spent; their buffer takes the gradients
@@ -409,8 +438,11 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
     user_hat_grads = np.empty((uniq_users.size, emb.d))
     item_hat_grads = np.zeros((n_items, emb.d))
     for lo, hi, ex, ex_keys in blocks:
-        g = np.bincount(ex_keys.ravel(), weights=grads[ex].ravel(),
-                        minlength=(hi - lo) * n_items).reshape(hi - lo, n_items)
+        # the spent score block takes G's block; add.at sums each entry from
+        # 0.0 in example order, as a bincount into fresh memory would
+        g = block[:hi - lo]
+        g.fill(0.0)
+        np.add.at(g.reshape(-1), ex_keys.ravel(), grads[ex].ravel())
         np.matmul(g, ii.hat, out=user_hat_grads[lo:hi])
         item_hat_grads += g.T @ uu.hat[lo:hi]
 
@@ -456,9 +488,9 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
     g_uhat, g_ihat = g_sim @ i.hat, g_sim.T @ u.hat
     g_u, g_i = u.backward(g_uhat), i.backward(g_ihat)
 
-    uniq_users, u_inv = np.unique(users, return_inverse=True)
+    uniq_users, u_inv = _unique_inverse(users)
     user_grads = _scatter_rows(u_inv, g_u, uniq_users.size)
-    uniq_items, i_inv = np.unique(items, return_inverse=True)
+    uniq_items, i_inv = _unique_inverse(items)
     item_grads = _scatter_rows(i_inv, g_i, uniq_items.size)
 
     return res.value, uniq_users, user_grads, uniq_items, item_grads
@@ -494,11 +526,12 @@ def train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
     """Run the full training loop and return the table plus per-epoch stats.
 
     One epoch is a seed-shuffled pass over all (user, item) training pairs.
-    Per batch: sample negatives (or build the in-batch mask), score with
-    cosine similarity, compute the configured loss, chain gradients through
-    the normalization Jacobian, add the L2 term on touched rows, and apply
-    one Adam step. Everything is driven by ``cfg.rng_seed``; two runs with
-    the same inputs produce bit-identical tables.
+    Per batch: draw fresh negatives and find the batch's unique rows (in
+    in-batch mode, every other example's item is a negative instead), score
+    with cosine similarity, compute the configured loss, chain gradients
+    through the normalization Jacobian, add the L2 term on touched rows, and
+    apply one Adam step. Everything is driven by ``cfg.rng_seed``; two runs
+    with the same inputs produce bit-identical tables.
 
     In negative-sampling mode the canonical bilateral loss groups each
     batch's rows by user so that a user's positives share one log-mean-exp

@@ -806,6 +806,18 @@ def test_negative_seed_exits_2_naming_it_before_any_output(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, name", [("--epochs", "epochs"), ("--rng-seed", "rng_seed")])
+def test_a_whole_setting_too_large_for_a_float_exits_2_before_any_output(tmp_path, capsys,
+                                                                         flag, name):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, epochs=1, eval_every=0)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 flag, "1" + "0" * 400]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_hashes_each_split_once_per_run(tmp_path, monkeypatch):
     cli = importlib.import_module("recdro.cli")
     hashed = []

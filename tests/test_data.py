@@ -9,8 +9,8 @@ import pytest
 
 from recdro.config import (CONFIG_KEYS, BslForm, ConfigError, DEFAULT_TAU_GRID,
                            ExperimentConfig, LossKind, LossSpec, NegSampler, SamplingMode,
-                           TrainConfig, build_config, config_as_dict, load_config,
-                           override_config, parse_config_text)
+                           TrainConfig, build_config, check_range, config_as_dict,
+                           load_config, override_config, parse_config_text)
 from recdro.data import (DataFormatError, Dataset, load_dataset,
                          popularity_groups, save_dataset)
 from recdro.evaluate import evaluate, report_as_dict
@@ -318,6 +318,20 @@ def test_whole_floats_and_numpy_integers_count_as_their_int():
     assert floats == whole
     (a, log_a), (b, log_b) = train(ds, whole, spec), train(ds, floats, spec)
     assert np.array_equal(a.user_vecs, b.user_vecs) and log_a == log_b
+
+
+def test_an_int_no_float_can_hold_is_a_config_error_naming_the_setting():
+    with pytest.raises(ConfigError, match="^epochs must"):
+        check_range("epochs", 10**400, 1, math.inf)
+    with pytest.raises(ConfigError, match="^epochs must"):
+        check_range("epochs", -10**400, -math.inf, math.inf)
+
+
+@pytest.mark.parametrize("name", ["embedding_dim", "n_negatives", "batch_size", "epochs",
+                                  "rng_seed"])
+def test_a_huge_whole_count_fails_validation_naming_it(name):
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        TrainConfig(**{name: 10**400}).validate()
 
 
 def test_every_setting_reads_back_its_own_text():

@@ -16,6 +16,7 @@ from recdro.synthetic import planted_clusters, random_interactions
 
 # the package re-exports a function named evaluate over the module
 evaluate_module = importlib.import_module("recdro.evaluate")
+sampling_module = importlib.import_module("recdro.sampling")
 model_module = importlib.import_module("recdro.model")
 
 
@@ -541,6 +542,29 @@ def test_sweep_trains_each_distinct_grid_once(monkeypatch, mode, axes, n_trained
                "pos_noise_values": [row.pos_noise_ratio]}
         one_cell = noise_sweep(ds, cfg, spec, tau_grid=(0.1, 0.2),
                                **{axis: own[axis] for axis in axes})
+        assert one_cell == [row]
+
+
+@pytest.mark.parametrize("mode", [SamplingMode.NEGATIVE_SAMPLING, SamplingMode.IN_BATCH])
+def test_sweep_contaminates_each_pos_noise_level_once(monkeypatch, mode):
+    calls = []
+    real_contaminate = sampling_module.contaminate_positives
+
+    def spy(ds, ratio, seed):
+        calls.append(ratio)
+        return real_contaminate(ds, ratio, seed)
+
+    monkeypatch.setattr(sampling_module, "contaminate_positives", spy)
+    ds = planted_clusters(n_users=40, n_items=30, seed=3)
+    cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=2, batch_size=16,
+                      n_negatives=4, sampling_mode=mode, rng_seed=5)
+    spec = LossSpec(kind=LossKind.SL, tau=0.2)
+    axes = dict(pos_noise_values=[0.0, 0.2, 0.4], r_values=[0.0, 0.5, 1.0])
+    rows = noise_sweep(ds, cfg, spec, tau_grid=(0.2,), **axes)
+    assert calls == [0.2, 0.4]
+    for row in rows:
+        one_cell = noise_sweep(ds, cfg, spec, tau_grid=(0.2,), r_values=[row.r_noise],
+                               pos_noise_values=[row.pos_noise_ratio])
         assert one_cell == [row]
 
 

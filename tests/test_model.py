@@ -702,6 +702,123 @@ class TestFastPathsBitIdentical:
             assert np.array_equal(emb.item_vecs, param)
             assert np.array_equal(adam.m_item, m) and np.array_equal(adam.v_item, v)
 
+    @pytest.mark.parametrize("users, items, n_items", [
+        pytest.param(np.random.default_rng(46).integers(0, 50, size=300),
+                     np.random.default_rng(47).integers(0, 90, size=(300, 9)), 90, id="random"),
+        pytest.param(np.array([3]), np.array([[5]]), 6, id="one-id"),
+        pytest.param(np.full(40, 7), np.full((40, 3), 2), 10, id="all-equal"),
+        pytest.param(np.array([0, 4, 4, 1]), np.array([[11, 0], [3, 3], [11, 11], [5, 0]]),
+                     12, id="largest-id-last"),
+    ])
+    def test_unique_rows_matches_np_unique(self, users, items, n_items):
+        pos, negs = items[:, 0], items[:, 1:]
+        assert items.max() <= n_items - 1
+        got = unique_rows(users, pos, negs)
+        expected = (*np.unique(users, return_inverse=True),
+                    *np.unique(np.concatenate([pos, negs.ravel()]), return_inverse=True))
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b) and a.dtype == b.dtype and a.shape == b.shape
+
+    def test_unique_rows_rejects_a_negative_id(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            unique_rows([0, -1], [0, 1], [[1], [2]])
+
+    @staticmethod
+    def dense_reference(emb, users, pos_items, neg_items, loss_fn):
+        """``dense_batch_grads`` with np.unique and a fresh per-block bincount."""
+        b, m = np.shape(neg_items)
+        uniq_users, u_inv = np.unique(users, return_inverse=True)
+        uniq_items, i_inv = np.unique(np.concatenate([pos_items, neg_items.ravel()]),
+                                      return_inverse=True)
+        n_items = uniq_items.size
+        uu, ii = UnitRows.of(emb.user_vecs[uniq_users]), UnitRows.of(emb.item_vecs[uniq_items])
+        keys = np.empty((b, m + 1), dtype=np.int64)
+        keys[:, 0] = i_inv[:b]
+        keys[:, 1:] = i_inv[b:].reshape(b, m)
+        keys += (u_inv * n_items)[:, None]
+        rows = model_mod.score_block_rows(n_items)
+        scores = np.empty((b, m + 1))
+        blocks = []
+        for lo in range(0, uniq_users.size, rows):
+            hi = min(lo + rows, uniq_users.size)
+            ex = np.flatnonzero((u_inv >= lo) & (u_inv < hi))
+            ex_keys = keys[ex] - lo * n_items
+            scores[ex] = np.take(uu.hat[lo:hi] @ ii.hat.T, ex_keys)
+            blocks.append((lo, hi, ex, ex_keys))
+        res = loss_fn(ScoreBatch(scores[:, 0].copy(), scores[:, 1:].copy()))
+        grads = np.column_stack([res.grad_pos, res.grad_neg])
+        user_hat_grads = np.empty((uniq_users.size, emb.d))
+        item_hat_grads = np.zeros((n_items, emb.d))
+        for lo, hi, ex, ex_keys in blocks:
+            g = np.bincount(ex_keys.ravel(), weights=grads[ex].ravel(),
+                            minlength=(hi - lo) * n_items).reshape(hi - lo, n_items)
+            user_hat_grads[lo:hi] = g @ ii.hat
+            item_hat_grads += g.T @ uu.hat[lo:hi]
+        return (res.value, uniq_users, uu.backward(user_hat_grads),
+                uniq_items, ii.backward(item_hat_grads))
+
+    # 10 users in blocks of 3, 3, 3 and a 1-row remainder; None keeps one block
+    @pytest.mark.parametrize("block_rows, loss", [(3, "sl"), (3, "bsl"), (None, "sl")])
+    def test_dense_grads_match_per_block_bincount(self, monkeypatch, block_rows, loss):
+        rng = np.random.default_rng(48)
+        b, m, d, n_users = 150, 5, 13, 10
+        emb = EmbeddingTable(rng.normal(size=(n_users, d)), rng.normal(size=(4 * m, d)))
+        users = np.concatenate([np.arange(n_users), rng.integers(0, n_users, b - n_users)])
+        pos = rng.integers(0, 4 * m, size=b)
+        negs = rng.integers(0, 4 * m, size=(b, m))
+        negs[0, 1:] = negs[0, 0]  # repeated keys within one example
+        if loss == "bsl":
+            users = np.sort(users)
+            sizes = np.unique(users, return_counts=True)[1]
+            fn = lambda batch: bsl_loss(batch, 0.4, 0.2, BslForm.CANONICAL,  # noqa: E731
+                                        pos_group_sizes=sizes)
+        else:
+            fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.3))
+        if block_rows is not None:
+            n_items = np.unique(np.concatenate([pos, negs.ravel()])).size
+            monkeypatch.setattr(model_mod, "SCORE_BLOCK_BYTES", block_rows * 8 * n_items)
+            assert model_mod.score_block_rows(n_items) == block_rows
+        got = dense_batch_grads(emb, users, pos, negs, fn)
+        expected = self.dense_reference(emb, users, pos, negs, fn)
+        assert got[0] == expected[0]
+        for k in range(1, 5):
+            assert np.array_equal(got[k], expected[k])
+
+    @pytest.mark.parametrize("l2_reg", [0.0, 1e-3])
+    def test_adam_in_place_matches_allocating_formula(self, l2_reg):
+        rng = np.random.default_rng(49)
+        emb = EmbeddingTable(rng.normal(size=(6, 4)), rng.normal(size=(9, 4)))
+        adam = AdamState.for_table(emb)
+        ref = {"user": [emb.user_vecs.copy(), adam.m_user.copy(), adam.v_user.copy()],
+               "item": [emb.item_vecs.copy(), adam.m_item.copy(), adam.v_item.copy()]}
+        b1, b2, eps, lr = adam.beta1, adam.beta2, adam.eps, 0.01
+        for step in range(1, 6):
+            user_rows = rng.permutation(6)[:rng.integers(0, 4)]  # empty on some steps
+            item_rows = rng.permutation(9)[:5]
+            grads = {"user": rng.normal(size=(user_rows.size, 4)),
+                     "item": rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-6, 3, (5, 1))}
+            applied = {}
+            for side, rows, table in (("user", user_rows, emb.user_vecs),
+                                      ("item", item_rows, emb.item_vecs)):
+                g = grads[side]
+                if l2_reg:  # as train adds it
+                    g = g + l2_reg * table[rows]
+                applied[side] = g
+                param, m, v = ref[side]
+                m_rows = b1 * m[rows] + (1.0 - b1) * g
+                v_rows = b2 * v[rows] + (1.0 - b2) * g * g
+                m[rows] = m_rows
+                v[rows] = v_rows
+                m_hat = m_rows / (1.0 - b1 ** step)
+                v_hat = v_rows / (1.0 - b2 ** step)
+                param[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            adam.apply(emb, user_rows, applied["user"], item_rows, applied["item"], lr)
+            assert adam.step == step
+            for got, want in zip((emb.user_vecs, adam.m_user, adam.v_user,
+                                  emb.item_vecs, adam.m_item, adam.v_item),
+                                 (*ref["user"], *ref["item"])):
+                assert np.array_equal(got, want)
+
     def test_grouped_negatives_match_per_user_scan(self):
         ds = planted_clusters(n_users=40, n_items=30, seed=3)
         users = np.random.default_rng(45).integers(0, 40, size=200)
