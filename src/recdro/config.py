@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
@@ -30,7 +31,11 @@ def check_range(name: str, value, lo: float, hi: float) -> float:
     except OverflowError:  # an int too large to convert to float
         ok = False
     if not ok:
-        raise ConfigError(f"{name} must be finite and lie in [{lo:g}, {hi:g}), got {value}")
+        try:
+            shown = f"{value}"
+        except ValueError:  # str() refuses an int past Python's digit limit
+            shown = f"an int of more than {sys.get_int_max_str_digits()} digits"
+        raise ConfigError(f"{name} must be finite and lie in [{lo:g}, {hi:g}), got {shown}")
     return float(value)
 
 
@@ -85,6 +90,12 @@ class NegSampler(enum.Enum):
 DEFAULT_TAU_GRID = (0.05, 0.07, 0.09, 0.10, 0.11, 0.12, 0.15, 0.20, 0.5, 1.0)
 
 
+def _whole_float_as_int(value):
+    """A whole float such as 5.0 as the int it names; any other value as is,
+    so that range(), array shapes and the config text take it."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 @functools.cache
 def _int_settings(cls) -> tuple[str, ...]:
     """The fields of config dataclass ``cls`` declared ``int``: whole numbers only."""
@@ -132,12 +143,8 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # a whole float such as 5.0 is kept as the int it names, so that
-        # range() and array shapes take it
         for name in _int_settings(type(self)):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole_float_as_int(getattr(self, name)))
 
     def validate(self) -> None:
         in_batch = self.sampling_mode is SamplingMode.IN_BATCH
@@ -163,6 +170,11 @@ class ExperimentConfig:
     eval_every: int = 5
     eval_ks: tuple[int, ...] = (20,)
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
+
+    def __post_init__(self):
+        object.__setattr__(self, "eval_every", _whole_float_as_int(self.eval_every))
+        if isinstance(self.eval_ks, tuple):
+            object.__setattr__(self, "eval_ks", tuple(map(_whole_float_as_int, self.eval_ks)))
 
     def validate(self) -> None:
         self.train.validate()

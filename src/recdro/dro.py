@@ -116,9 +116,12 @@ def kl_ball_sup(scores, base, eta: float) -> KlBallSupremum:
     Solved by bisecting on the tilt temperature: the KL divergence of the
     tilted distribution is continuous and strictly decreasing in tau (from
     -log of the base mass on the argmax set, as tau -> 0, down to 0), so the
-    binding constraint pins a unique temperature. When ``eta`` meets or
-    exceeds the tau -> 0 limit, the result clamps to that limit: all mass on
-    the maximal scores, proportional to the base. ``eta`` must be finite.
+    binding constraint pins a unique temperature. The bisection halves
+    ``log tau`` over the fixed bracket [1e-15, 1e12], so its cost does not
+    depend on the score scale; an ``eta`` whose temperature lies outside the
+    bracket is a :class:`ConvergenceError`. When ``eta`` meets or exceeds the
+    tau -> 0 limit, the result clamps to that limit: all mass on the maximal
+    scores, proportional to the base. ``eta`` must be finite.
     """
     scores, base = _validate_base(scores, base)
     eta = check_range("eta", eta, 0, math.inf)
@@ -132,37 +135,26 @@ def kl_ball_sup(scores, base, eta: float) -> KlBallSupremum:
         limit = limit / limit.sum()
         return KlBallSupremum(float(scores.max()), limit)
 
-    def achieved_kl(tau: float) -> float:
-        return kl_divergence(_tilt(scores, base, tau), base)
-
-    # Bracket: KL decreases in tau, so grow/shrink until eta is enclosed.
-    lo = hi = 1.0
-    while achieved_kl(hi) > eta:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConvergenceError("failed to bracket the tilt temperature from above")
-    while achieved_kl(lo) < eta:
-        lo /= 2.0
-        if lo < 1e-15:
-            raise ConvergenceError("failed to bracket the tilt temperature from below")
-
-    tau = 0.5 * (lo + hi)
+    # KL falls as tau grows; halving log tau over one fixed bracket takes the
+    # same number of steps at any score scale
+    lo, hi = 1e-15, 1e12
+    if not (kl_divergence(_tilt(scores, base, hi), base) <= eta
+            <= kl_divergence(_tilt(scores, base, lo), base)):
+        raise ConvergenceError(
+            f"eta = {eta} is not reached by a tilt temperature in [{lo:g}, {hi:g}]")
     for _ in range(BISECTION_MAX_STEPS):
-        tau = 0.5 * (lo + hi)
-        kl = achieved_kl(tau)
+        tau = math.sqrt(lo * hi)
+        weights = _tilt(scores, base, tau)
+        kl = kl_divergence(weights, base)
         if abs(kl - eta) <= BISECTION_TOL:
-            break
+            return KlBallSupremum(float(weights @ scores), weights)
         if kl > eta:
             lo = tau
         else:
             hi = tau
-    else:
-        raise ConvergenceError(
-            f"tilt bisection did not reach |KL - eta| <= {BISECTION_TOL} "
-            f"in {BISECTION_MAX_STEPS} steps")
-
-    weights = _tilt(scores, base, tau)
-    return KlBallSupremum(float(weights @ scores), weights)
+    raise ConvergenceError(
+        f"tilt bisection did not reach |KL - eta| <= {BISECTION_TOL} "
+        f"in {BISECTION_MAX_STEPS} steps")
 
 
 def base_mean_and_variance(scores, base) -> tuple[float, float]:

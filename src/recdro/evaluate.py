@@ -261,8 +261,9 @@ def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig
                               tau: float) -> np.ndarray:
     """Per-user implied KL radius of sampled negative-score batches.
 
-    For each of the first ``RADIUS_USERS`` users with training items, sample
-    the configured number of negatives (sampler seeded with ``RADIUS_SEED``),
+    For each of the first ``RADIUS_USERS`` users with both training items and
+    negatives (``0 < |train| < n_items``, the rule of ``recdro dro-diagnose``),
+    sample the configured number of negatives (sampler seeded with ``RADIUS_SEED``),
     score them, and convert the score variance into a radius at temperature
     ``tau`` (uniform base).
     """
@@ -271,7 +272,7 @@ def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig
     for u in range(ds.n_users):
         if len(out) >= RADIUS_USERS:
             break
-        if not ds.train_pos[u].size:
+        if not 0 < ds.train_pos[u].size < ds.n_items:
             continue
         items = sample_negatives(sampler, ds, u, cfg.n_negatives)
         scores, _ = cosine_score(emb, u, items)

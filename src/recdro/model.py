@@ -21,7 +21,8 @@ NORM_EPS = 1e-12
 
 class TrainingDivergedError(RuntimeError):
     """A batch produced non-finite values; ``phase`` is where they appeared:
-    ``"loss"`` (the loss value) or ``"backward"`` (the embedding gradients)."""
+    ``"loss"`` (the loss value), ``"backward"`` (the embedding gradients) or
+    ``"adam"`` (the table rows the optimizer step wrote)."""
 
     def __init__(self, batch_index: int, phase: str):
         super().__init__(f"training diverged at batch index {batch_index}: "
@@ -186,6 +187,8 @@ class AdamState:
     m_item: np.ndarray
     v_item: np.ndarray
     step: int = 0
+    #: Whether every value the last :meth:`apply` wrote into the table is finite.
+    wrote_finite: bool = True
     #: The moment decay rates and the denominator guard. They are fixed;
     #: checkpoints record them as ``adam_hyper`` and must match them.
     beta1: ClassVar[float] = 0.9
@@ -222,18 +225,23 @@ class AdamState:
         v_rows += self.eps
         m_rows *= lr
         m_rows /= v_rows
-        param[rows] -= m_rows
+        # the updated rows are written from m_rows, so checking them needs no
+        # second gather
+        np.subtract(param[rows], m_rows, out=m_rows)
+        param[rows] = m_rows
+        return bool(np.isfinite(m_rows).all())
 
     def apply(self, emb: EmbeddingTable, user_rows, user_grads,
               item_rows, item_grads, lr: float) -> None:
         """One optimizer step touching only the given (unique) rows."""
         self.step += 1
+        self.wrote_finite = True
         if len(user_rows):
-            self._update_rows(emb.user_vecs, self.m_user, self.v_user,
-                              user_rows, user_grads, lr)
+            self.wrote_finite &= self._update_rows(emb.user_vecs, self.m_user, self.v_user,
+                                                   user_rows, user_grads, lr)
         if len(item_rows):
-            self._update_rows(emb.item_vecs, self.m_item, self.v_item,
-                              item_rows, item_grads, lr)
+            self.wrote_finite &= self._update_rows(emb.item_vecs, self.m_item, self.v_item,
+                                                   item_rows, item_grads, lr)
 
 
 #: Columns summed per ``bincount`` call in :func:`_scatter_rows`.
@@ -546,7 +554,9 @@ def train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
 
     A non-finite loss value, or a non-finite entry in a batch's embedding
     gradients, raises :class:`TrainingDivergedError` with the batch index and
-    the phase (``"loss"`` or ``"backward"``) before Adam touches the table.
+    the phase (``"loss"`` or ``"backward"``) before Adam touches the table; a
+    non-finite entry in the rows an Adam step wrote raises it with phase
+    ``"adam"`` after that step.
 
     ``epoch_callback(epoch, emb) -> dict | None`` may attach extra metrics to
     an epoch's log entry (the table must be treated as read-only inside).
@@ -611,6 +621,8 @@ def train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
                 ugrads = ugrads + cfg.l2_reg * emb.user_vecs[urows]
                 igrads = igrads + cfg.l2_reg * emb.item_vecs[irows]
             adam.apply(emb, urows, ugrads, irows, igrads, cfg.learning_rate)
+            if not adam.wrote_finite:
+                raise TrainingDivergedError(batch_index, "adam")
             loss_sum += value * chunk.shape[0]
             n_seen += chunk.shape[0]
             batch_index += 1

@@ -327,6 +327,25 @@ def test_an_int_no_float_can_hold_is_a_config_error_naming_the_setting():
         check_range("epochs", -10**400, -math.inf, math.inf)
 
 
+def test_an_int_past_the_string_digit_limit_is_a_config_error_naming_the_setting():
+    """str() refuses an int of more than 4300 digits, so the message must not
+    print the value."""
+    with pytest.raises(ConfigError, match="^epochs must.* more than 4300 digits"):
+        check_range("epochs", 10**5000, 1, math.inf)
+    with pytest.raises(ConfigError, match="^pos_noise_ratio must"):
+        check_range("pos_noise_ratio", -10**5000, 0, 1)
+
+
+def test_experiment_whole_floats_round_trip_as_ints():
+    cfg = ExperimentConfig(eval_every=5.0, eval_ks=(20.0, 5))
+    cfg.validate()
+    text = config_as_dict(cfg)
+    assert (text["eval_every"], text["eval_ks"]) == ("5", "20,5")
+    bumped = override_config(cfg, {"epochs": "3"})
+    assert (bumped.eval_every, bumped.eval_ks, bumped.train.epochs) == (5, (20, 5), 3)
+    assert bumped == dataclasses.replace(cfg, train=TrainConfig(epochs=3))
+
+
 @pytest.mark.parametrize("name", ["embedding_dim", "n_negatives", "batch_size", "epochs",
                                   "rng_seed"])
 def test_a_huge_whole_count_fails_validation_naming_it(name):

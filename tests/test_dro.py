@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import recdro.dro as dro_mod
 from recdro.config import MIN_TAU, ConfigError
-from recdro.dro import (base_mean_and_variance, dual_value, estimate_eta,
-                        kl_ball_sup, kl_divergence, taylor_negative_part,
-                        tau_star, worst_case_weights)
+from recdro.dro import (BISECTION_TOL, ConvergenceError, base_mean_and_variance,
+                        dual_value, estimate_eta, kl_ball_sup, kl_divergence,
+                        taylor_negative_part, tau_star, worst_case_weights)
 
 
 def random_instance(rng, n_atoms=None):
@@ -201,6 +202,51 @@ class TestKlBallSup:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             kl_ball_sup([0.1, 0.2], [0.5, 0.5], -0.01)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_binding_radius_is_met_to_tolerance_at_any_score_scale(self, scale):
+        """c01's instances, with the scores scaled: every binding result's
+        weights spend the radius to within BISECTION_TOL."""
+        rng = np.random.default_rng(101)
+        n_binding = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            scores = rng.uniform(-1, 1, n) * scale
+            base = rng.dirichlet(np.ones(n) * 4)
+            kl_cap = -math.log(base[scores == scores.max()].sum())
+            for eta in (0.01, 0.1, 0.5):
+                res = kl_ball_sup(scores, base, eta)
+                if eta < kl_cap:
+                    n_binding += 1
+                    assert abs(kl_divergence(res.argmax, base) - eta) <= BISECTION_TOL
+                    assert res.value == float(res.argmax @ scores)
+        assert n_binding > 500
+
+    def test_radius_below_the_reach_of_the_hottest_tilt_fails(self):
+        """eta = 1e-30 needs a tilt temperature far above 1e12. (On scores
+        in [-1, 1] the KL that far out is rounding noise, about 1e-16 and
+        often negative, so the scores here span [-1e7, 1e7], where it is
+        2.5e-11 at tau = 1e12.)"""
+        with pytest.raises(ConvergenceError):
+            kl_ball_sup(np.linspace(-1e7, 1e7, 5), np.full(5, 0.2), 1e-30)
+
+    def test_near_tied_maxima_just_under_the_cap_fail(self):
+        """A 1e-17 gap between the top two scores is not resolved by any tilt
+        temperature above 1e-15, so a radius just under the cap (all mass on
+        the single maximum) is out of reach."""
+        scores, base = np.array([1e-17, 0.0, -1.0]), np.full(3, 1 / 3)
+        kl_cap = math.log(3)
+        with pytest.raises(ConvergenceError):
+            kl_ball_sup(scores, base, kl_cap * (1 - 1e-6))
+        # the clamp at the cap itself still holds
+        assert np.array_equal(kl_ball_sup(scores, base, kl_cap).argmax, [1.0, 0.0, 0.0])
+
+    def test_step_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(dro_mod, "BISECTION_MAX_STEPS", 1)
+        rng = np.random.default_rng(4)
+        scores, base = random_instance(rng)
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            kl_ball_sup(scores, base, 0.05)
 
 
 class TestDuality:

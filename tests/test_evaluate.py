@@ -568,6 +568,21 @@ def test_sweep_contaminates_each_pos_noise_level_once(monkeypatch, mode):
         assert one_cell == [row]
 
 
+def test_sweep_radius_skips_a_user_who_holds_every_item():
+    """User 0 has no negative to sample; the radius is read over the users
+    with both positives and negatives, as ``recdro dro-diagnose`` picks them."""
+    ds = Dataset.from_positive_lists([[0, 1, 2, 3, 4, 5], [0, 1], [2, 3], [4], [1, 5]],
+                                     [[], [2], [0], [1], [3]], n_items=6)
+    cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=2, batch_size=4,
+                      n_negatives=2, sampling_mode=SamplingMode.IN_BATCH, rng_seed=5)
+    spec = LossSpec(kind=LossKind.SL, tau=0.2)
+    (row,) = noise_sweep(ds, cfg, spec, r_values=[0.0], tau_grid=(0.2,))
+    assert math.isfinite(row.eta_mean) and math.isfinite(row.eta_median)
+    emb = grid_search_train(ds, cfg, spec, tau_grid=(0.2,)).emb
+    etas = evaluate_module.negative_radius_estimates(emb, ds, cfg, 0.2)
+    assert etas.size == 4 and (row.eta_mean, row.eta_median) == (etas.mean(), np.median(etas))
+
+
 def test_sl_novar_grid_is_one_temperature_free_run(monkeypatch):
     ds = planted_clusters(n_users=40, n_items=30, seed=3)
     cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=2, batch_size=64,

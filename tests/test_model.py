@@ -412,6 +412,30 @@ class TestTrain:
         assert (err.value.batch_index, err.value.phase) == (2, phase)
         assert len(adam_steps) == 2  # the diverged batch reached no Adam step
 
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_adam_step_that_overflows_the_table_is_the_adam_phase(self, monkeypatch, mode):
+        """At lr = 1e308 the loss and gradients stay finite, but an Adam step
+        writes inf into the table; the batch that did it is named, not the next
+        batch's score check."""
+        ds = zipf_preferences(40, 30, interactions_per_user=6, seed=0)
+        cfg = TrainConfig(learning_rate=1e308, epochs=3, batch_size=64, n_negatives=4,
+                          embedding_dim=4, sampling_mode=mode)
+        adam_wrote = []
+        real_apply = AdamState.apply
+
+        def recording_apply(self, emb, *args):
+            real_apply(self, emb, *args)
+            adam_wrote.append(np.isfinite(emb.user_vecs).all()
+                              and np.isfinite(emb.item_vecs).all())
+
+        monkeypatch.setattr(AdamState, "apply", recording_apply)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergedError, match="adam phase") as err:
+            train(ds, cfg, LossSpec(kind=LossKind.SL, tau=0.1))
+        assert err.value.phase == "adam"
+        # the named batch is the first whose step left a non-finite table
+        assert adam_wrote.index(False) == err.value.batch_index == len(adam_wrote) - 1
+
     def test_callback_metrics_land_in_log(self):
         ds = tiny_dataset()
         cfg = TrainConfig(embedding_dim=4, learning_rate=1e-3, epochs=2,
