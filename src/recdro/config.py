@@ -52,7 +52,12 @@ def check_whole(name: str, value) -> int:
 
 
 def check_values(name: str, values, lo: float) -> tuple:
-    """``values`` as a tuple, if it is nonempty and every entry lies in ``[lo, inf)``."""
+    """``values`` as a tuple, if it is nonempty and every entry lies in ``[lo, inf)``.
+
+    A bare number or a string is a :class:`ConfigError` that names the setting.
+    """
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
     values = tuple(values)
     if not values:
         raise ConfigError(f"{name} must be nonempty")
@@ -173,8 +178,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "eval_every", _whole_float_as_int(self.eval_every))
-        if isinstance(self.eval_ks, tuple):
+        # a list is stored as a tuple, the form config_as_dict writes out
+        if isinstance(self.eval_ks, (list, tuple)):
             object.__setattr__(self, "eval_ks", tuple(map(_whole_float_as_int, self.eval_ks)))
+        if isinstance(self.tau_grid, list):
+            object.__setattr__(self, "tau_grid", tuple(self.tau_grid))
 
     def validate(self) -> None:
         self.train.validate()

@@ -244,40 +244,27 @@ class AdamState:
                                                    item_rows, item_grads, lr)
 
 
-#: Columns summed per ``bincount`` call in :func:`_scatter_rows`.
-SCATTER_BLOCK = 8
-
 #: Bytes of one (rows, m, d) block of gathered negatives in
 #: :func:`sampled_batch_grads` (64 rows at m = d = 64), so that a block stays
 #: in cache instead of a (B, m, d) gather passing through memory twice.
 GATHER_CHUNK_BYTES = 2 << 20
 
 
-def _scatter_rows(inv: np.ndarray, grads, n_rows: int) -> np.ndarray:
-    """Sum gradient rows that share a target row.
+def _scatter_rows(inv: np.ndarray, grads: np.ndarray, n_rows: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Add each gradient row into its target row: ``out[inv[k]] += grads[k]``.
 
-    ``grads`` is a (B, d) array, or a pair ``(d, block)`` where
-    ``block(lo, hi)`` returns columns lo:hi as a (hi - lo, B) array, so that
-    a caller can form each block's products just before they are summed.
-    One ``bincount`` sums SCATTER_BLOCK columns at once: column c of the
-    block goes to bins ``c * n_rows + inv``. Every bin still receives its
-    contributions in row order, so the sums match a per-column ``bincount``
-    bit for bit, while the index stays SCATTER_BLOCK x B rather than d x B.
-    Column-major ``grads`` (a transposed C array) are read without a copy.
+    ``grads`` has shape ``inv.shape + (d,)``, such as (B, d) or (rows, m, d).
+    ``out`` is a C-ordered (n_rows, d) array to add onto, or zeros when
+    omitted. This is the one scatter rule of the training kernels: one flat
+    ``np.add.at`` adds each entry's terms in row order onto its start (0.0
+    in fresh zeros), as a per-column ``bincount`` does, bit for bit.
     """
-    if isinstance(grads, np.ndarray):
-        d, block = grads.shape[1], lambda lo, hi: grads[:, lo:hi].T
-    else:
-        d, block = grads
-    out = np.empty((n_rows, d))
-    index = None
-    for lo in range(0, d, SCATTER_BLOCK):
-        cols = block(lo, min(lo + SCATTER_BLOCK, d))
-        width = cols.shape[0]
-        if index is None or index.size != width * inv.size:
-            index = (np.arange(width)[:, None] * n_rows + inv).ravel()
-        sums = np.bincount(index, weights=cols.ravel(), minlength=width * n_rows)
-        out[:, lo:lo + width] = sums.reshape(width, n_rows).T
+    d = grads.shape[-1]
+    if out is None:
+        out = np.zeros((n_rows, d))
+    index = inv.reshape(-1, 1) * d + np.arange(d)
+    np.add.at(out.reshape(-1), index.ravel(), grads.ravel())
     return out
 
 
@@ -341,9 +328,11 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
     of batch rows of about GATHER_CHUNK_BYTES, once for the scores and once
     more for the user gradient after the loss; each einsum output element
     reduces over its own row, so chunking changes no bit. The item
-    hat-gradient products are formed SCATTER_BLOCK columns at a time inside
-    the scatter. Every sum keeps row order, so the result equals the
-    unchunked computation exactly.
+    hat-gradients are then scattered by :func:`_scatter_rows`: the
+    positives' terms, then the negatives' in row order, whose products are
+    formed in the spent gather buffer a quarter of a chunk of rows at a
+    time. Every sum keeps row order, so the result equals the unchunked
+    computation exactly.
     """
     b, m = np.shape(neg_items)
     d = emb.d
@@ -376,22 +365,17 @@ def sampled_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_f
     for lo, hi in chunks:
         np.einsum("bm,bmd->bd", res.grad_neg[lo:hi], gathered(lo, hi), out=g_uhat[lo:hi])
     g_uhat += res.grad_pos[:, None] * p_hat
-    del j_hat
-
-    # item hat-gradients, one column per all_items entry (positives, then
-    # negatives), written one SCATTER_BLOCK of embedding columns at a time
-    u_hat_t = u_hat.T
-    products = np.empty((min(SCATTER_BLOCK, d), b * (m + 1)))
-
-    def item_block(lo, hi):
-        out = products[:hi - lo]
-        np.multiply(u_hat_t[lo:hi], res.grad_pos, out=out[:, :b])
-        np.multiply(u_hat_t[lo:hi, :, None], res.grad_neg,
-                    out=out[:, b:].reshape(hi - lo, b, m))
-        return out
-
     user_hat_grads = _scatter_rows(u_inv, g_uhat, uniq_users.size)
-    item_hat_grads = _scatter_rows(i_inv, (d, item_block), uniq_items.size)
+
+    # item hat-gradients in unique_rows' order: the positives' terms, then
+    # the negatives' row by row, formed in the spent gather buffer
+    item_hat_grads = _scatter_rows(p_inv, res.grad_pos[:, None] * u_hat, uniq_items.size)
+    step = max(1, rows // 4)
+    for lo in range(0, b, step):
+        hi = min(lo + step, b)
+        products = np.multiply(res.grad_neg[lo:hi, :, None], u_hat[lo:hi, None, :],
+                               out=j_hat[:hi - lo])
+        _scatter_rows(j_inv[lo:hi], products, uniq_items.size, out=item_hat_grads)
 
     return (res.value, uniq_users, uu.backward(user_hat_grads),
             uniq_items, ii.backward(item_hat_grads))
@@ -403,14 +387,15 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
 
     With U the unique users and I the unique items, each normalized once,
     an example's scores are entries of its user's row of
-    ``S = U_hat @ I_hat.T``. The loss gradients are summed into
-    ``G`` (U x I) by ``np.add.at``, and the hat-space gradients are
-    ``G @ I_hat`` and ``G.T @ U_hat``. Users are taken a block at a time, in
-    blocks of :func:`score_block_rows` users as in ``evaluate``, and ``S``
-    and ``G`` share one block buffer: about 2 MiB up to 4096 unique items,
-    and 64 users' rows (``512 * I`` bytes) above. The sums run in another
-    order than the reference kernel's, so the results agree with it to
-    rounding, not bit for bit.
+    ``S = U_hat @ I_hat.T``. The loss gradients are summed into ``G``
+    (U x I) by the rule of :func:`_scatter_rows`: one flat ``np.add.at``
+    adds each entry's terms in example order from 0.0. The hat-space
+    gradients are ``G @ I_hat`` and ``G.T @ U_hat``. Users are taken a block
+    at a time, in blocks of :func:`score_block_rows` users as in
+    ``evaluate``, and ``S`` and ``G`` share one block buffer: about 2 MiB up
+    to 4096 unique items, and 64 users' rows (``512 * I`` bytes) above. The
+    sums run in another order than the reference kernel's, so the results
+    agree with it to rounding, not bit for bit.
     """
     b, m = np.shape(neg_items)
     if unique is None:
@@ -446,8 +431,7 @@ def dense_batch_grads(emb: EmbeddingTable, users, pos_items, neg_items, loss_fn,
     user_hat_grads = np.empty((uniq_users.size, emb.d))
     item_hat_grads = np.zeros((n_items, emb.d))
     for lo, hi, ex, ex_keys in blocks:
-        # the spent score block takes G's block; add.at sums each entry from
-        # 0.0 in example order, as a bincount into fresh memory would
+        # the spent score block, zeroed, takes G's block
         g = block[:hi - lo]
         g.fill(0.0)
         np.add.at(g.reshape(-1), ex_keys.ravel(), grads[ex].ravel())

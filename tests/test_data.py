@@ -346,6 +346,26 @@ def test_experiment_whole_floats_round_trip_as_ints():
     assert bumped == dataclasses.replace(cfg, train=TrainConfig(epochs=3))
 
 
+def test_list_settings_are_stored_as_tuples_and_round_trip():
+    cfg = ExperimentConfig(eval_ks=[5, 20.0], tau_grid=[0.1, 0.2])
+    cfg.validate()
+    assert (cfg.eval_ks, cfg.tau_grid) == ((5, 20), (0.1, 0.2))
+    assert cfg == ExperimentConfig(eval_ks=(5, 20), tau_grid=(0.1, 0.2))
+    bumped = override_config(cfg, {"epochs": "3"})
+    assert bumped == dataclasses.replace(cfg, train=TrainConfig(epochs=3))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("eval_ks", lambda: ExperimentConfig(eval_ks=5).validate()),
+    ("eval_ks", lambda: ExperimentConfig(eval_ks="5, 20").validate()),
+    ("tau_grid", lambda: ExperimentConfig(tau_grid=0.2).validate()),
+    ("ks", lambda: evaluate(init_embeddings(3, 5, 4, seed=0), small_split(), 20)),
+], ids=["eval_ks", "eval_ks_text", "tau_grid", "evaluate_ks"])
+def test_a_bare_value_in_a_list_setting_is_a_config_error_naming_it(name, call):
+    with pytest.raises(ConfigError, match=f"^{name} must be a list of numbers"):
+        call()
+
+
 @pytest.mark.parametrize("name", ["embedding_dim", "n_negatives", "batch_size", "epochs",
                                   "rng_seed"])
 def test_a_huge_whole_count_fails_validation_naming_it(name):

@@ -616,6 +616,47 @@ class TestFastPathsBitIdentical:
         fast = model_mod._scatter_rows(inv, grads, 40)
         assert np.array_equal(fast, self.per_column_scatter(inv, grads, 40))
 
+    @staticmethod
+    def looped_scatter(inv, grads, out):
+        for k in np.ndindex(inv.shape):
+            out[inv[k]] += grads[k]
+        return out
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        # array_equal alone takes -0.0 for 0.0
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("shape", [(300,), (20, 15)], ids=["rows", "rows-m"])
+    def test_scatter_adds_onto_out_in_row_order(self, shape):
+        rng = np.random.default_rng(len(shape))
+        n_rows, d = 12, 5
+        inv = rng.integers(0, n_rows - 1, size=shape)  # repeats; row 11 gets nothing
+        scale = 10.0 ** rng.integers(-9, 9, size=shape + (1,))
+        grads = rng.normal(size=shape + (d,)) * scale
+        start = rng.normal(size=(n_rows, d))
+        out = start.copy()
+        got = model_mod._scatter_rows(inv, grads, n_rows, out=out)
+        assert got is out
+        self.assert_same_bits(out, self.looped_scatter(inv, grads, start.copy()))
+        assert np.array_equal(out[-1], start[-1])
+        fresh = model_mod._scatter_rows(inv, grads, n_rows)
+        self.assert_same_bits(fresh, self.looped_scatter(inv, grads, np.zeros((n_rows, d))))
+
+    def test_scatter_keeps_the_sign_of_zero_terms(self):
+        inv = np.array([0, 0, 1, 2])
+        grads = np.array([[-0.0, 1.0], [-0.0, -1.0], [-0.0, -0.0], [0.0, -0.0]])
+        start = np.array([[-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+        out = model_mod._scatter_rows(inv, grads, 4, out=start.copy())
+        # -0.0 + -0.0 stays -0.0, where a sum formed first and then added
+        # (-0.0 + (0.0 + -0.0)) would read 0.0
+        self.assert_same_bits(out, self.looped_scatter(inv, grads, start.copy()))
+        assert np.signbit(out[[0, 1, 3], [0, 1, 1]]).all()
+        fresh = model_mod._scatter_rows(inv, grads, 4)
+        self.assert_same_bits(fresh, self.looped_scatter(inv, grads, np.zeros((4, 2))))
+        assert not np.signbit(fresh).any()
+
     @pytest.mark.parametrize("b", [2, 3, 17])
     def test_off_diagonal_view_matches_in_batch_mask(self, b):
         rng = np.random.default_rng(b)
