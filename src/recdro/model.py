@@ -197,10 +197,13 @@ class AdamState:
 
     @classmethod
     def for_table(cls, emb: EmbeddingTable) -> "AdamState":
-        return cls(m_user=np.zeros_like(emb.user_vecs),
-                   v_user=np.zeros_like(emb.user_vecs),
-                   m_item=np.zeros_like(emb.item_vecs),
-                   v_item=np.zeros_like(emb.item_vecs))
+        # np.zeros, unlike zeros_like, maps pages that read as zero until
+        # written, so the moments of rows no batch touches take no memory
+        def zeros(table):
+            return np.zeros(table.shape, dtype=table.dtype)
+
+        return cls(m_user=zeros(emb.user_vecs), v_user=zeros(emb.user_vecs),
+                   m_item=zeros(emb.item_vecs), v_item=zeros(emb.item_vecs))
 
     def _update_rows(self, param, m, v, rows, grads, lr):
         # rows are unique, so the gathered moments are what m[rows]/v[rows] hold.
@@ -457,6 +460,14 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
 
     Each example's positive is its own item; its negatives are every other
     example's item (the off-diagonal of the pairwise similarity matrix).
+
+    Memory grows with the batch size squared: the step holds at most two
+    (B, B) float64 arrays at once, 16 MiB at B = 1024. The similarity matrix
+    is released once its diagonal and off-diagonal are copied out, so the
+    loss runs on the negatives and its own scaled copy of them, and the
+    gradient matrix is built fresh beside the loss's negative gradients.
+    That holds for the softmax family and MSE; BPR and BCE allocate more
+    (B, B) temporaries of their own and peak near 7.2 and 5.2 of them.
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -467,13 +478,13 @@ def inbatch_batch_grads(emb: EmbeddingTable, users, items, loss_fn):
     u, i = map(UnitRows.of, (emb.user_vecs[users], emb.item_vecs[items]))
 
     sim = u.hat @ i.hat.T
-    pos_scores = np.diag(sim).copy()
-    neg_scores = _off_diagonal(sim).reshape(b, b - 1)
-    res = loss_fn(ScoreBatch(pos_scores, neg_scores))
+    scores = ScoreBatch(np.diag(sim).copy(), _off_diagonal(sim).reshape(b, b - 1))
+    del sim  # only b = 2's negatives are still a view of it
+    res = loss_fn(scores)
+    del scores
 
-    # sim is spent once the loss has returned: its buffer takes the
-    # gradients, every entry of which is written below
-    g_sim = sim
+    # every entry of the gradient matrix is written below
+    g_sim = np.empty((b, b))
     g_sim.ravel()[::b + 1] = res.grad_pos
     _off_diagonal(g_sim)[...] = res.grad_neg.reshape(b - 1, b)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -670,16 +671,18 @@ class TestFastPathsBitIdentical:
         expected[mask] = grad.ravel()
         assert np.array_equal(written, expected)
 
-    def test_in_batch_grads_match_masked_reference(self):
+    # at b = 2 the negatives are a view of the released similarity matrix
+    # (np.shares_memory); every larger b copies them out
+    @pytest.mark.parametrize("b", [2, 3, 16])
+    def test_in_batch_grads_match_masked_reference(self, b):
         rng = np.random.default_rng(41)
         emb = EmbeddingTable(rng.normal(size=(9, 7)), rng.normal(size=(11, 7)))
-        users = rng.integers(0, 9, size=16)
-        items = rng.integers(0, 11, size=16)
+        users = rng.integers(0, 9, size=b)
+        items = rng.integers(0, 11, size=b)
         fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.2))
         got = inbatch_batch_grads(emb, users, items, fn)
 
         mask = in_batch_negatives(users, items)
-        b = users.size
         u_hat, u_n, u_s = model_mod._normalize_rows(emb.user_vecs[users])
         i_hat, i_n, i_s = model_mod._normalize_rows(emb.item_vecs[items])
         sim = u_hat @ i_hat.T
@@ -695,6 +698,23 @@ class TestFastPathsBitIdentical:
         assert np.array_equal(got[1], uu) and np.array_equal(got[3], ii)
         assert np.array_equal(got[2], self.per_column_scatter(u_inv, g_u, uu.size))
         assert np.array_equal(got[4], self.per_column_scatter(i_inv, g_i, ii.size))
+
+    def test_in_batch_step_holds_two_square_arrays(self):
+        # one SL step at B = 512: the similarity matrix is released before
+        # the loss runs, so no more than two (B, B) float64 arrays (plus
+        # small change) are alive at once; three would read above 3.0
+        b = 512
+        rng = np.random.default_rng(5)
+        emb = EmbeddingTable(rng.normal(size=(b, 8)), rng.normal(size=(b, 8)))
+        fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.1))
+        users, items = rng.permutation(b), rng.permutation(b)
+        tracemalloc.start()
+        try:
+            inbatch_batch_grads(emb, users, items, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * b * b * 8
 
     def test_in_batch_rejects_a_single_pair(self):
         emb = init_embeddings(3, 3, 4, seed=0)
