@@ -13,12 +13,12 @@ from .config import (DEFAULT_TAU_GRID, MIN_TAU, LossKind, LossSpec, SamplingMode
 from .data import Dataset, popularity_groups
 from .dro import estimate_eta
 from .model import (EmbeddingTable, _normalize_rows, cosine_score,
-                    score_block_bounds, train)
+                    score_block_bounds, score_block_rows, train)
 # the per-user scorer evaluate() reproduces; bound here so that profilers can
 # patch it by name beside rank_items
 from .model import score_all_items  # noqa: F401
-from .sampling import (SamplerState, complement_ids, prepare_dataset,
-                       sample_negatives)
+from .sampling import (SamplerState, _batch_csr, batch_complement_ids,
+                       prepare_dataset, sample_negatives)
 
 #: Non-training items per evaluated user pooled into ``neg_score_variance``.
 VARIANCE_SAMPLES_PER_USER = 100
@@ -96,12 +96,22 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     exactly what :func:`~recdro.model.score_all_items` returns. A block
     holds :func:`~recdro.model.score_block_rows` users: about 2 MiB of scores
     up to 4096 items, and 64 users (``512 * n_items`` bytes) on a wider
-    catalog, so the scores in memory are bounded by the catalog, not by
-    users x items. Only the split's ``ds.n_items`` items are candidates: rows
+    catalog. Only the split's ``ds.n_items`` items are candidates: rows
     of a larger item table past the catalog are never ranked. A table with
     fewer users or items than ``ds`` is a ``ValueError``. ``n_groups`` is
     clamped to ``ds.n_items``, so ``group_ndcg`` has
     ``min(n_groups, ds.n_items)`` entries.
+
+    Per user, only two steps run: the top ``max(ks)`` of the user's block
+    row (:func:`_top_k`) and the variance pool's ``choice`` of ranks among
+    the user's non-training items, whose stream is drawn user by user. Per
+    block, one :func:`~recdro.sampling.batch_complement_ids` call maps the
+    block's ranks to item ids and one gather pools their scores. Once per
+    call, hits, Recall@k, NDCG@k and the group NDCG are read off the
+    ``(users, min(max(ks), n_items))`` top-k array, each summed in the
+    per-user order, so every figure keeps the bits of a per-user loop.
+    Memory beyond the score block grows with users x max(ks) and the pool of
+    ``VARIANCE_SAMPLES_PER_USER`` scores per user, never with users x items.
     """
     ks = sorted(check_whole("ks", k) for k in check_values("ks", ks, 1))
     if emb.n_users < ds.n_users or emb.n_items < ds.n_items:
@@ -115,66 +125,83 @@ def evaluate(emb: EmbeddingTable, ds: Dataset, ks, n_groups: int = 10) -> EvalRe
     eval_users = [u for u in range(ds.n_users) if ds.test_pos[u].size]
     if not eval_users:
         raise ValueError("no user has test items")
-
-    rng = np.random.default_rng(0)
-    discounts = 1.0 / np.log2(np.arange(2, kmax + 2))
-    # idcg[n] is the DCG of n hits at the top, summed as a user's DCG is
-    max_test = max(ds.test_pos[u].size for u in eval_users)
-    idcg = [discounts[:n].sum() for n in range(min(kmax, max_test) + 1)]
-
-    recall_acc = {k: [] for k in ks}
-    ndcg_acc = {k: [] for k in ks}
-    group_acc = np.zeros(n_groups)
+    n_eval = len(eval_users)
+    users = np.array(eval_users, dtype=np.int64)
+    n_test = np.array([ds.test_pos[u].size for u in eval_users])
+    n_neg = ds.n_items - (ds.indptr[users + 1] - ds.indptr[users])
+    take = np.minimum(VARIANCE_SAMPLES_PER_USER, n_neg)
+    # user e's variance draws fill pooled[first[e]:first[e + 1]]
+    first = np.zeros(n_eval + 1, dtype=np.int64)
+    np.cumsum(take, out=first[1:])
 
     u_hat, _, _ = _normalize_rows(emb.user_vecs)
     i_hat, _, _ = _normalize_rows(emb.item_vecs)
-    # one block buffer and one variance pool per call: a block per GEMM and
-    # an array per user fragment the heap, and the training batches between
-    # evaluations then page-fault several times as often
-    lo, hi = score_block_bounds(0, emb.n_users, emb.n_items)
-    block_buf = np.empty((hi - lo, emb.n_items))
-    pooled = np.empty(len(eval_users) * VARIANCE_SAMPLES_PER_USER)
-    n_pooled = 0
-    block_lo = -1
+    # one block buffer, one rank buffer and one variance pool per call: a
+    # block per GEMM and an array per user fragment the heap, and the
+    # training batches between evaluations then page-fault several times
+    # as often
+    rows = score_block_rows(emb.n_items)
+    block_buf = np.empty((min(rows, emb.n_users), emb.n_items))
+    rank_buf = np.empty(min(rows, n_eval) * VARIANCE_SAMPLES_PER_USER, dtype=np.int64)
+    pooled = np.empty(first[-1])
+    topk = np.empty((n_eval, min(kmax, ds.n_items)), dtype=np.int64)
 
-    for u in eval_users:
-        lo, hi = score_block_bounds(u, emb.n_users, emb.n_items)
-        if lo != block_lo:
-            # score_all_items' product, cut to the split's catalog
-            block = np.matmul(u_hat[lo:hi], i_hat.T, out=block_buf[:hi - lo])
-            block_lo, block = lo, block[:, :ds.n_items]
-        scores = block[u - lo]
-        train_items, test_items = ds.train_pos[u], ds.test_pos[u]
-        topk = _top_k(scores, train_items, kmax)
-        n_test = test_items.size
-        # test_items is sorted: a hit is where searchsorted lands on an equal id
-        at = np.searchsorted(test_items, topk)
-        hit_ranks = np.flatnonzero(test_items[np.minimum(at, n_test - 1)] == topk)
-
-        for k in ks:
-            h = hit_ranks.searchsorted(k)
-            recall_acc[k].append(h / n_test)
-            ndcg_acc[k].append(float(discounts[hit_ranks[:h]].sum()) / idcg[min(k, n_test)])
-
-        idcg_g = idcg[min(group_cutoff, n_test)]
-        for r in hit_ranks[:hit_ranks.searchsorted(group_cutoff)]:
-            group_acc[groups[topk[r]]] += discounts[r] / idcg_g
-
-        n_neg = ds.n_items - train_items.size
-        take = min(VARIANCE_SAMPLES_PER_USER, n_neg)
-        if take:
+    rng = np.random.default_rng(0)
+    # eval users [a, b) share the block that starts at users[a]'s lo
+    cuts = np.flatnonzero(np.diff(users // rows)) + 1
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), n_eval]):
+        lo, hi = score_block_bounds(eval_users[a], emb.n_users, emb.n_items)
+        # score_all_items' product, cut to the split's catalog
+        block = np.matmul(u_hat[lo:hi], i_hat.T, out=block_buf[:hi - lo])[:, :ds.n_items]
+        base = first[a]
+        for e, u, n, t, f in zip(range(a, b), eval_users[a:b], n_neg[a:b].tolist(),
+                                 take[a:b].tolist(), (first[a:b] - base).tolist()):
+            topk[e] = _top_k(block[u - lo], ds.train_pos[u], kmax)
             # choice() over a count makes the RNG calls of choice() over the
-            # non-training ids themselves; their ranks map back to the ids
-            ranks = rng.choice(n_neg, size=take, replace=False)
-            np.take(scores, complement_ids(train_items, ranks),
-                    out=pooled[n_pooled:n_pooled + take])
-            n_pooled += take
+            # non-training ids themselves; their ranks map back to ids below
+            rank_buf[f:f + t] = rng.choice(n, size=t, replace=False)
+        owner = np.repeat(np.arange(b - a), take[a:b])
+        ids = batch_complement_ids(*_batch_csr(ds, users[a:b]), ds.n_items, owner,
+                                   rank_buf[:first[b] - base])
+        # the ids' scores, read off the flat block buffer
+        ids += ((users[a:b] - lo) * emb.n_items)[owner]
+        np.take(block_buf, ids, out=pooled[base:first[b]])
 
-    n_eval = len(eval_users)
-    pooled = pooled[:n_pooled]
+    # hits: test keys are sorted per user, and a sentinel above every key
+    # keeps the search on the array
+    n_items = ds.n_items
+    test_keys = np.append(np.repeat(np.arange(n_eval), n_test) * n_items
+                          + np.concatenate([ds.test_pos[u] for u in eval_users]),
+                          n_eval * n_items)
+    keys = np.arange(n_eval)[:, None] * n_items + topk
+    hits = test_keys[test_keys.searchsorted(keys)] == keys
+
+    discounts = 1.0 / np.log2(np.arange(2, kmax + 2))
+    # idcg[n] is the DCG of n hits at the top, summed as a user's DCG is
+    idcg = np.array([discounts[:n].sum() for n in range(min(kmax, int(n_test.max())) + 1)])
+    # each row's hit discounts packed to its front in rank order: a user's
+    # DCG@k is the sum of its first h_k, taken as the per-user sum is, over
+    # the rows with equal h_k (an empty sum is 0.0)
+    packed = discounts[np.argsort(~hits, axis=1, kind="stable")]
+    recall, ndcg = {}, {}
+    for k in ks:
+        h = np.count_nonzero(hits[:, :k], axis=1)
+        dcg = np.zeros(n_eval)
+        for n in np.unique(h[h > 0]).tolist():
+            at = np.flatnonzero(h == n)
+            dcg[at] = packed[at, :n].sum(axis=1)
+        recall[k] = float(np.mean(h / n_test))
+        ndcg[k] = float(np.mean(dcg / idcg[np.minimum(k, n_test)]))
+
+    # group NDCG adds each hit in user-then-rank order, as a loop would
+    hit_user, hit_rank = np.nonzero(hits[:, :group_cutoff])
+    group_acc = np.zeros(n_groups)
+    np.add.at(group_acc, groups[topk[hit_user, hit_rank]],
+              discounts[hit_rank] / idcg[np.minimum(group_cutoff, n_test)][hit_user])
+
     return EvalReport(
-        recall={k: float(np.mean(recall_acc[k])) for k in ks},
-        ndcg={k: float(np.mean(ndcg_acc[k])) for k in ks},
+        recall=recall,
+        ndcg=ndcg,
         group_ndcg=group_acc / n_eval,
         group_cutoff=group_cutoff,
         neg_score_variance=float(np.var(pooled)) if pooled.size else float("nan"),

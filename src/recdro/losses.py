@@ -67,8 +67,20 @@ class LossResult:
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) without overflow on either tail."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return _softplus(np.array(x, dtype=np.float64))
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """:func:`softplus` of a float64 array that the caller owns and gives up:
+    ``maximum(x, 0) + log1p(exp(-abs(x)))``, each step the allocating form's
+    operation, written into ``x`` and one scratch array."""
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    np.maximum(x, 0.0, out=x)
+    x += t
+    return x
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -76,9 +88,22 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return _sigmoid(np.array(x, dtype=np.float64))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """:func:`sigmoid` of a float64 array that the caller owns and gives up:
+    with ``t = exp(-abs(x))``, ``1 / (1 + t)`` where ``x >= 0`` and
+    ``t / (1 + t)`` elsewhere, written into ``x`` beside ``1 + t`` and a
+    mask."""
+    nonneg = x >= 0
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    denom = 1.0 + x
+    np.divide(x, denom, out=x)
+    np.divide(1.0, denom, out=x, where=nonneg)
+    return x
 
 
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -113,14 +138,20 @@ def bpr_loss(batch: ScoreBatch) -> LossResult:
     value = -mean over all (positive, negative) pairs of
     log sigmoid(pos - neg).
     """
-    diff = batch.pos_scores[:, None] - batch.neg_scores
-    value = float(-np.mean(log_sigmoid(diff)))
-    n_pairs = diff.size
+    # -diff, the argument of both the value's softplus and the gradient's
+    # sigmoid; each works in place on an array of its own
+    neg_diff = batch.pos_scores[:, None] - batch.neg_scores
+    np.negative(neg_diff, out=neg_diff)
+    log_sig = _softplus(neg_diff.copy())
+    np.negative(log_sig, out=log_sig)  # log sigmoid(diff)
+    value = float(-np.mean(log_sig))
+    del log_sig
+    n_pairs = neg_diff.size
     # d(-log sigmoid(d))/dd = -sigmoid(-d)
-    s = sigmoid(-diff)
+    s = _sigmoid(neg_diff)
     grad_pos = -s.sum(axis=1) / n_pairs
-    grad_neg = s / n_pairs
-    return LossResult(value, grad_pos, grad_neg)
+    s /= n_pairs
+    return LossResult(value, grad_pos, s)
 
 
 def bce_loss(batch: ScoreBatch, balance: float) -> LossResult:
@@ -133,7 +164,9 @@ def bce_loss(batch: ScoreBatch, balance: float) -> LossResult:
     value = float(np.mean(softplus(-batch.pos_scores))
                   + balance * np.mean(softplus(batch.neg_scores)))
     grad_pos = -sigmoid(-batch.pos_scores) / n
-    grad_neg = balance * sigmoid(batch.neg_scores) / (n * m)
+    grad_neg = sigmoid(batch.neg_scores)
+    grad_neg *= balance
+    grad_neg /= n * m
     return LossResult(value, grad_pos, grad_neg)
 
 

@@ -282,12 +282,7 @@ def sample_uniform_batch(st: SamplerState, ds: Dataset, users,
         return None
     ranks = ((values * ranges) >> 32).astype(np.int64)
 
-    # the complement rule of complement_ids over the whole batch: user j's
-    # positive i has pos[i] - i negatives below it, keyed j * n_items + that
-    gap_user = np.repeat(np.arange(uniq.size), n_pos)
-    gap_keys = gap_user * ds.n_items + indices - (np.arange(indices.size) - indptr[gap_user])
-    ids = ranks + gap_keys.searchsorted(slot_user * ds.n_items + ranks, side="right")
-    ids -= indptr[slot_user]
+    ids = batch_complement_ids(indptr, indices, ds.n_items, slot_user, ranks)
     if take_pos is not None:
         ids[take_pos] = indices[indptr[slot_user[take_pos]] + ranks[take_pos]]
 
@@ -332,6 +327,24 @@ def complement_ids(pos: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     at or below that count shifts the rank-th negative up by one.
     """
     return ranks + np.searchsorted(pos - np.arange(pos.size), ranks, side="right")
+
+
+def batch_complement_ids(indptr: np.ndarray, indices: np.ndarray, n_items: int,
+                         rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """:func:`complement_ids` for many rows of a flat CSR at once: entry ``s``
+    is the id of the item at ``ranks[s]`` among the ``n_items`` items not in
+    the sorted list ``indices[indptr[j]:indptr[j + 1]]`` of row ``j = rows[s]``.
+
+    Row j's positive i has ``pos[i] - i`` negatives below it, keyed
+    ``j * n_items + that``; the keys sort by row, so one ``searchsorted``
+    counts, for every entry, the positives of earlier rows plus those of its
+    own row that shift its rank up.
+    """
+    key_row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    keys = key_row * n_items + indices - (np.arange(indices.size) - indptr[key_row])
+    ids = ranks + keys.searchsorted(rows * n_items + ranks, side="right")
+    ids -= indptr[rows]
+    return ids
 
 
 def positive_fraction(r_noise: float, n_pos: int, n_neg: int) -> float:

@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from recdro.config import ConfigError, LossKind, LossSpec, SamplingMode, TrainConfig
-from recdro.data import Dataset
-from recdro.evaluate import (evaluate, grid_search_train, noise_sweep,
-                             rank_items, report_as_dict, report_rows)
+from recdro.config import (ConfigError, LossKind, LossSpec, SamplingMode, TrainConfig,
+                           check_values, check_whole)
+from recdro.data import Dataset, popularity_groups
+from recdro.evaluate import (VARIANCE_SAMPLES_PER_USER, EvalReport, _top_k, evaluate,
+                             grid_search_train, noise_sweep, rank_items, report_as_dict,
+                             report_rows, selection_cutoff)
 from recdro.model import (EmbeddingTable, _normalize_rows, score_all_items,
                           score_block_bounds)
 from recdro.sampling import complement_ids, contaminate_positives
@@ -355,6 +357,143 @@ class TestScorePartition:
                    f"{ds.n_users} x {ds.n_items}")
         with pytest.raises(ValueError, match=message):
             evaluate(emb, ds, [20], n_groups=2)
+
+
+def per_user_evaluate(emb, ds, ks, n_groups=10):
+    """The per-user evaluation loop that :func:`evaluate` batches, kept as its
+    exactness oracle: every step, metric bookkeeping and variance gather
+    included, runs one evaluated user at a time."""
+    ks = sorted(check_whole("ks", k) for k in check_values("ks", ks, 1))
+    kmax = ks[-1]
+    group_cutoff = selection_cutoff(ks)
+    n_groups = min(check_whole("n_groups", n_groups), ds.n_items)
+    groups = popularity_groups(ds, n_groups)
+    eval_users = [u for u in range(ds.n_users) if ds.test_pos[u].size]
+
+    rng = np.random.default_rng(0)
+    discounts = 1.0 / np.log2(np.arange(2, kmax + 2))
+    max_test = max(ds.test_pos[u].size for u in eval_users)
+    idcg = [discounts[:n].sum() for n in range(min(kmax, max_test) + 1)]
+    recall_acc = {k: [] for k in ks}
+    ndcg_acc = {k: [] for k in ks}
+    group_acc = np.zeros(n_groups)
+    u_hat, _, _ = _normalize_rows(emb.user_vecs)
+    i_hat, _, _ = _normalize_rows(emb.item_vecs)
+    pooled = []
+    block_lo = -1
+    for u in eval_users:
+        lo, hi = score_block_bounds(u, emb.n_users, emb.n_items)
+        if lo != block_lo:
+            block_lo, block = lo, (u_hat[lo:hi] @ i_hat.T)[:, :ds.n_items]
+        scores = block[u - lo]
+        train_items, test_items = ds.train_pos[u], ds.test_pos[u]
+        topk = _top_k(scores, train_items, kmax)
+        n_test = test_items.size
+        at = np.searchsorted(test_items, topk)
+        hit_ranks = np.flatnonzero(test_items[np.minimum(at, n_test - 1)] == topk)
+        for k in ks:
+            h = hit_ranks.searchsorted(k)
+            recall_acc[k].append(h / n_test)
+            ndcg_acc[k].append(float(discounts[hit_ranks[:h]].sum()) / idcg[min(k, n_test)])
+        idcg_g = idcg[min(group_cutoff, n_test)]
+        for r in hit_ranks[:hit_ranks.searchsorted(group_cutoff)]:
+            group_acc[groups[topk[r]]] += discounts[r] / idcg_g
+        n_neg = ds.n_items - train_items.size
+        take = min(VARIANCE_SAMPLES_PER_USER, n_neg)
+        if take:
+            ranks = rng.choice(n_neg, size=take, replace=False)
+            pooled.append(scores[complement_ids(train_items, ranks)])
+
+    pooled = np.concatenate([np.empty(0), *pooled])
+    return EvalReport(
+        recall={k: float(np.mean(recall_acc[k])) for k in ks},
+        ndcg={k: float(np.mean(ndcg_acc[k])) for k in ks},
+        group_ndcg=group_acc / len(eval_users),
+        group_cutoff=group_cutoff,
+        neg_score_variance=float(np.var(pooled)) if pooled.size else float("nan"),
+        n_eval_users=len(eval_users),
+    )
+
+
+def assert_same_report(got, expected):
+    """Every field of two reports, floats compared bit for bit."""
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    assert list(got.recall) == list(expected.recall)
+    assert list(got.ndcg) == list(expected.ndcg)
+    assert bits(list(got.recall.values())) == bits(list(expected.recall.values()))
+    assert bits(list(got.ndcg.values())) == bits(list(expected.ndcg.values()))
+    assert got.group_ndcg.shape == expected.group_ndcg.shape
+    assert bits(got.group_ndcg) == bits(expected.group_ndcg)
+    assert got.group_cutoff == expected.group_cutoff
+    assert bits(got.neg_score_variance) == bits(expected.neg_score_variance)
+    assert got.n_eval_users == expected.n_eval_users
+
+
+class TestBatchedMetricsMatchThePerUserLoop:
+    """evaluate's batched metrics and variance gather against the per-user
+    loop, every field bit for bit."""
+
+    N_USERS = 23
+
+    def fixture(self, n_items, wide_table=False):
+        rng = np.random.default_rng(n_items)
+        train, test = [], []
+        for u in range(self.N_USERS):
+            items = rng.permutation(n_items)
+            if u in (8, 9, 10, 11):  # at 4 rows a block, block 2 has no test user
+                n_train, n_test = int(rng.integers(0, n_items // 2)), 0
+            elif u == 12:  # every item in training: no test, no negatives
+                n_train, n_test = n_items, 0
+            elif u == 13:  # a single non-training item, its test item
+                n_train, n_test = n_items - 1, 1
+            elif u == 14:  # fewer than 100 non-training items, most of them test
+                n_train = n_items - min(n_items, 40)
+                n_test = min(n_items, 40) - 3
+            else:
+                n_test = int(rng.integers(1, max(2, min(n_items // 3, 30))))
+                n_train = int(rng.integers(0, n_items - n_test))
+            train.append(items[:n_train])
+            test.append(items[n_train:n_train + n_test])
+        ds = Dataset.from_positive_lists(train, test, n_items=n_items)
+        d = 8
+        users = rng.normal(size=(self.N_USERS, d))
+        items = rng.normal(size=(n_items + (5 if wide_table else 0), d))
+        # users 0 and 14 sit on their test items: many hits at the top
+        for u in (0, 14):
+            items[ds.test_pos[u]] = users[u] + 1e-3 * rng.normal(size=(ds.test_pos[u].size, d))
+        # coarse item rows: exact score ties across items
+        items[: n_items // 4] = np.round(items[: n_items // 4])
+        return ds, EmbeddingTable(users, items)
+
+    @pytest.mark.parametrize("rows", [1, 4, 7, 23])
+    @pytest.mark.parametrize("ks", [[1, 5, 20], [10, 20]])
+    @pytest.mark.parametrize("n_items, wide_table", [(300, False), (300, True),
+                                                      (60, False), (15, False)])
+    def test_every_field_is_bit_identical(self, monkeypatch, rows, ks, n_items, wide_table):
+        ds, emb = self.fixture(n_items, wide_table)
+        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", rows * 8 * emb.n_items)
+        if n_items >= 60:
+            hits = [np.isin(_top_k(score_all_items(emb, u)[:ds.n_items], ds.train_pos[u], 20),
+                            ds.test_pos[u]).sum() for u in (0, 14)]
+            assert min(hits) >= 8
+        assert_same_report(evaluate(emb, ds, ks, n_groups=4),
+                           per_user_evaluate(emb, ds, ks, n_groups=4))
+
+    def test_random_splits(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n_items = int(rng.integers(2, 120))
+            ds = random_interactions(int(rng.integers(1, 40)), n_items,
+                                     per_user=int(rng.integers(1, n_items + 1)),
+                                     seed=seed, test_fraction=0.4)
+            if not any(t.size for t in ds.test_pos):
+                continue
+            emb = embedding_for(ds, d=4, seed=seed)
+            ks = sorted({int(k) for k in rng.integers(1, 45, size=3)})
+            assert_same_report(evaluate(emb, ds, ks, n_groups=3),
+                               per_user_evaluate(emb, ds, ks, n_groups=3))
 
 
 class TestNoiseSweep:

@@ -6,8 +6,8 @@ import pytest
 from recdro.config import BslForm, ConfigError
 from recdro.dro import dual_value
 from recdro.losses import (LossResult, ScoreBatch, bce_loss, bpr_loss, bsl_loss,
-                           logsumexp, mse_loss, softmax, softmax_loss,
-                           softmax_loss_no_variance)
+                           log_sigmoid, logsumexp, mse_loss, sigmoid, softmax,
+                           softmax_loss, softmax_loss_no_variance, softplus)
 
 
 def random_batch(rng, n=None, m=None, lo=-1.0, hi=1.0):
@@ -365,6 +365,72 @@ class TestSharedExpBitIdentical:
     def test_bsl_value_is_a_python_float(self, form):
         b = self.batch(4)
         assert type(bsl_loss(b, 0.3, 0.08, form).value) is float
+
+
+def allocating_softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def allocating_sigmoid(x):
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+class TestInPlaceLogisticsBitIdentical:
+    """softplus, sigmoid, BPR and BCE, which reuse arrays they own, against
+    the forms that allocate an array per operation, exactly."""
+
+    EDGES = np.array([745.0, -745.0, 709.0, -709.0, 37.0, -37.0, 0.0, -0.0,
+                      5e-324, -5e-324, 2.2e-308, -2.2e-308])
+
+    def batches(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            scale = rng.choice([1e-3, 1.0, 30.0, 400.0])
+            pos, neg = rng.normal(scale=scale, size=n), rng.normal(scale=scale, size=(n, m))
+            flat = neg.ravel()
+            at = rng.choice(flat.size, size=min(flat.size, 4), replace=False)
+            flat[at] = rng.choice(self.EDGES, size=at.size)
+            pos[rng.integers(0, n)] = rng.choice(self.EDGES)
+            yield ScoreBatch(pos, neg)
+
+    @staticmethod
+    def same(a, b):
+        return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+    def test_bpr(self):
+        for b in self.batches():
+            res = bpr_loss(b)
+            diff = b.pos_scores[:, None] - b.neg_scores
+            s = allocating_sigmoid(-diff)
+            assert self.same(res.value, float(-np.mean(-allocating_softplus(-diff))))
+            assert self.same(res.grad_pos, -s.sum(axis=1) / diff.size)
+            assert self.same(res.grad_neg, s / diff.size)
+
+    @pytest.mark.parametrize("balance", [0.0, 0.7, 1.0])
+    def test_bce(self, balance):
+        for b in self.batches():
+            res = bce_loss(b, balance)
+            n, m = b.neg_scores.shape
+            assert self.same(res.value, float(
+                np.mean(allocating_softplus(-b.pos_scores))
+                + balance * np.mean(allocating_softplus(b.neg_scores))))
+            assert self.same(res.grad_pos, -allocating_sigmoid(-b.pos_scores) / n)
+            assert self.same(res.grad_neg, balance * allocating_sigmoid(b.neg_scores) / (n * m))
+
+    def test_public_functions_leave_their_argument(self):
+        x = np.concatenate([self.EDGES, [np.inf, -np.inf, np.nan, 0.5, -3.0]])
+        kept = x.copy()
+        with np.errstate(invalid="ignore"):
+            assert self.same(softplus(x), allocating_softplus(kept))
+            assert self.same(sigmoid(x), allocating_sigmoid(kept))
+            assert self.same(log_sigmoid(x), -allocating_softplus(-kept))
+        assert self.same(x, kept)
+        # a list or an integer array comes back as float64
+        assert self.same(softplus([0, 3]), allocating_softplus(np.array([0.0, 3.0])))
+        assert self.same(sigmoid(np.array([-2, 0, 2])),
+                         allocating_sigmoid(np.array([-2.0, 0.0, 2.0])))
 
 
 def per_group_bsl(batch, tau_pos, tau_neg, sizes):

@@ -716,6 +716,24 @@ class TestFastPathsBitIdentical:
             tracemalloc.stop()
         assert peak <= 2.5 * b * b * 8
 
+    @pytest.mark.parametrize("kind", [LossKind.BPR, LossKind.BCE])
+    def test_in_batch_pairwise_losses_reuse_their_arrays(self, kind):
+        # BPR and BCE run softplus and sigmoid in arrays they own: one step at
+        # B = 512 stays within 4.5 (B, B) float64 arrays, where allocating a
+        # fresh array per elementwise operation reads 7.2 and 5.2
+        b = 512
+        rng = np.random.default_rng(5)
+        emb = EmbeddingTable(rng.normal(size=(b, 8)), rng.normal(size=(b, 8)))
+        fn = loss_fn_from_spec(LossSpec(kind=kind))
+        users, items = rng.permutation(b), rng.permutation(b)
+        tracemalloc.start()
+        try:
+            inbatch_batch_grads(emb, users, items, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * b * b * 8
+
     def test_in_batch_rejects_a_single_pair(self):
         emb = init_embeddings(3, 3, 4, seed=0)
         fn = loss_fn_from_spec(LossSpec(kind=LossKind.SL, tau=0.2))

@@ -9,8 +9,8 @@ from recdro.config import ConfigError, NegSampler, TrainConfig
 from recdro.data import Dataset
 import recdro.model as model_mod
 import recdro.sampling as sampling_mod
-from recdro.sampling import (SamplerState, contaminate_positives,
-                             in_batch_negatives, positive_fraction,
+from recdro.sampling import (SamplerState, batch_complement_ids, complement_ids,
+                             contaminate_positives, in_batch_negatives, positive_fraction,
                              popularity_weights_from_counts, prepare_dataset,
                              sample_negatives, sample_negatives_batch,
                              sample_uniform_batch)
@@ -625,6 +625,51 @@ class TestUniformBatchDraw:
         monkeypatch.setattr(sampling_mod, "_lemire_rejects", lambda values, ranges: True)
         users = np.random.default_rng(3).integers(0, 200, size=40)
         self.assert_falls_back(self.NARROW, users, pending_state)
+
+
+class TestBatchComplementIds:
+    """The batch rank -> id map against complement_ids, row by row."""
+
+    @staticmethod
+    def check(lists, n_items, rng):
+        lists = [np.asarray(p, dtype=np.int64) for p in lists]
+        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum([p.size for p in lists], out=indptr[1:])
+        indices = np.concatenate([np.empty(0, np.int64), *lists])
+        rows, ranks = [], []
+        for j, pos in enumerate(lists):
+            n_neg = n_items - pos.size
+            if not n_neg:
+                continue
+            # both ends of the rank range, then a few in between, unsorted
+            picked = [0, n_neg - 1, *rng.integers(0, n_neg, size=5).tolist()]
+            rows += [j] * len(picked)
+            ranks += picked
+        order = rng.permutation(len(rows))  # rows interleaved, not grouped
+        rows, ranks = np.array(rows)[order], np.array(ranks, dtype=np.int64)[order]
+        got = batch_complement_ids(indptr, indices, n_items, rows, ranks)
+        for j, pos in enumerate(lists):
+            at = rows == j
+            assert np.array_equal(got[at], complement_ids(pos, ranks[at]))
+            assert not np.isin(got[at], pos).any()
+
+    def test_edge_rows(self):
+        n_items = 12
+        lists = [[], [0], [11], [0, 11], [0, 1, 2], [9, 10, 11], [], [0, 3, 4, 11],
+                 list(range(1, 12)), list(range(11)), list(range(12)), [5]]
+        self.check(lists, n_items, np.random.default_rng(0))
+
+    def test_random_lists(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            n_items = int(rng.integers(1, 80))
+            lists = []
+            for _ in range(int(rng.integers(1, 9))):
+                pos = np.flatnonzero(rng.random(n_items) < rng.random())
+                if rng.random() < 0.3:  # the catalog's first and last item
+                    pos = np.union1d(pos, [0, n_items - 1])
+                lists.append(pos)
+            self.check(lists, n_items, rng)
 
 
 def test_uniform_fallback_draws_once_per_distinct_user(monkeypatch):
