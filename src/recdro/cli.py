@@ -18,16 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import (default_tau_param, evaluate, noise_sweep, report_as_dict,
-                       report_rows, selection_cutoff)
+from .evaluate import (evaluate, negative_probes, noise_sweep, probe_users,
+                       report_as_dict, report_rows, selection_cutoff)
 from .config import (CONFIG_KEYS, MIN_TAU, ConfigError, ExperimentConfig,
                      _parse_float_list, _parse_int, _parse_int_list, check_range,
                      check_values, config_as_dict, load_config, override_config)
 from .data import DataFormatError, Dataset, atomic_open, load_dataset, save_dataset
 from .dro import estimate_eta, worst_case_weights
-from .model import (CheckpointError, TrainingDivergedError, cosine_score,
-                    load_checkpoint, save_checkpoint, train)
-from .sampling import SamplerState, prepare_dataset, sample_negatives
+from .model import (CheckpointError, TrainingDivergedError, load_checkpoint,
+                    save_checkpoint, train)
+from .sampling import SamplerState, prepare_dataset
 
 ARTIFACT_VERSION = "recdro-0.1.0"
 
@@ -189,17 +189,16 @@ def cmd_noise_sweep(args) -> int:
                         eval_ks=cfg.eval_ks, n_negatives_values=n_values,
                         pos_noise_values=p_values)
     select_k = selection_cutoff(cfg.eval_ks)
-    # temperature-free losses have no radius; their NaNs are left blank
-    has_eta = default_tau_param(cfg.loss.kind) is not None
 
+    # a NaN temperature or radius (a temperature-free loss, no probe user)
+    # is left blank
     def cell(value):
         return "" if value is None or np.isnan(value) else repr(float(value))
 
     rows = [[cell(row.r_noise), cell(row.pos_noise_ratio),
              "" if row.n_negatives is None else row.n_negatives,
              cfg.loss.kind.value, cell(row.best_tau), repr(row.recall), repr(row.ndcg),
-             repr(row.eta_mean) if has_eta else "",
-             repr(row.eta_median) if has_eta else ""]
+             cell(row.eta_mean), cell(row.eta_median)]
             for row in sweep]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,23 +216,21 @@ def cmd_dro_diagnose(args) -> int:
     seed = 0 if args.seed is None else args.seed
     check_range("--seed", seed, 0, math.inf)
     emb, ds = _load_scored(args)
+    users = probe_users(ds)
+    if not users.size:
+        raise RuntimeError("no user has both positives and negatives")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     sampler = SamplerState.create(seed=seed)
+    # the picks have a stream of their own: drawing them all before the
+    # sampler's draws moves no bit
     rng = np.random.default_rng(sampler.rng.integers(2 ** 32))
-    users_with_train = [u for u in range(ds.n_users) if ds.train_pos[u].size
-                        and ds.train_pos[u].size < ds.n_items]
-    if not users_with_train:
-        raise RuntimeError("no user has both positives and negatives")
-
+    picks = [rng.choice(users) for _ in range(args.batches)]
     weight_rows = []
     eta_rows = []
-    for b in range(args.batches):
-        user = int(rng.choice(users_with_train))
-        items = sample_negatives(sampler, ds, user, args.n_negatives)
-        scores, _ = cosine_score(emb, user, items)
-        base = np.full(items.size, 1.0 / items.size)
+    probes = negative_probes(emb, ds, sampler, args.n_negatives, picks)
+    for b, (items, scores, base) in enumerate(probes):
         for tau in taus:
             wc = worst_case_weights(scores, base, tau)
             for item, s, w in zip(items, scores, wc.weights):

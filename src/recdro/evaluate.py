@@ -284,28 +284,41 @@ def grid_search_train(ds: Dataset, cfg: TrainConfig, spec: LossSpec,
                             report=report)
 
 
+def probe_users(ds: Dataset) -> np.ndarray:
+    """The users a negative probe can read, ascending: those with both
+    training items and negatives (``0 < |train| < n_items``)."""
+    n_train = np.diff(ds.indptr)
+    return np.flatnonzero((n_train > 0) & (n_train < ds.n_items))
+
+
+def negative_probes(emb: EmbeddingTable, ds: Dataset, sampler: SamplerState,
+                    n_negatives: int, users):
+    """The negative probe of each of ``users`` in turn, as ``(items, scores,
+    base)``: ``n_negatives`` draws of :func:`~recdro.sampling.sample_negatives`,
+    their cosine scores under ``emb`` and the uniform base over them.
+
+    ``recdro dro-diagnose`` and :func:`negative_radius_estimates` both read
+    their users' scores through this probe.
+    """
+    for u in users:
+        items = sample_negatives(sampler, ds, int(u), n_negatives)
+        scores, _ = cosine_score(emb, int(u), items)
+        yield items, scores, np.full(items.size, 1.0 / items.size)
+
+
 def negative_radius_estimates(emb: EmbeddingTable, ds: Dataset, cfg: TrainConfig,
                               tau: float) -> np.ndarray:
     """Per-user implied KL radius of sampled negative-score batches.
 
-    For each of the first ``RADIUS_USERS`` users with both training items and
-    negatives (``0 < |train| < n_items``, the rule of ``recdro dro-diagnose``),
-    sample the configured number of negatives (sampler seeded with ``RADIUS_SEED``),
-    score them, and convert the score variance into a radius at temperature
-    ``tau`` (uniform base).
+    :func:`~recdro.dro.estimate_eta` at temperature ``tau`` over the
+    :func:`negative_probes` of the first ``RADIUS_USERS`` :func:`probe_users`,
+    each of the configured number of negatives (sampler seeded with
+    ``RADIUS_SEED``). Empty when no user can be probed.
     """
     sampler = SamplerState.for_config(ds, cfg, seed=RADIUS_SEED)
-    out = []
-    for u in range(ds.n_users):
-        if len(out) >= RADIUS_USERS:
-            break
-        if not 0 < ds.train_pos[u].size < ds.n_items:
-            continue
-        items = sample_negatives(sampler, ds, u, cfg.n_negatives)
-        scores, _ = cosine_score(emb, u, items)
-        base = np.full(items.size, 1.0 / items.size)
-        out.append(estimate_eta(scores, base, tau))
-    return np.asarray(out)
+    probes = negative_probes(emb, ds, sampler, cfg.n_negatives,
+                             probe_users(ds)[:RADIUS_USERS])
+    return np.array([estimate_eta(scores, base, tau) for _, scores, base in probes])
 
 
 @dataclass(frozen=True)
@@ -349,7 +362,8 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
     taken at ``tau_neg`` for BSL and ``tau`` otherwise. Giving the pos-noise
     axis makes BSL grid ``tau_pos``, the temperature that counters positive
     noise. Temperature-free losses train once per cell and report a NaN
-    ``best_tau`` and radii.
+    ``best_tau`` and radii; a split with no :func:`probe_users` reports NaN
+    radii.
 
     Cells at one pos-noise level share one prepared split. Cells that train
     the same models share one grid search: cells with equal configs, and in
@@ -382,13 +396,10 @@ def noise_sweep(ds: Dataset, cfg: TrainConfig, spec: LossSpec, r_values=(),
         cell_cfg = replace(cell_cfg, pos_noise_ratio=0.0)
         result = _shared(grids, keys, i, lambda: grid_search_train(
             ds_p, cell_cfg, spec, tau_grid=tau_grid, tau_param=tau_param, eval_ks=eval_ks))
-        if eta_param is None:
-            eta_mean = eta_median = float("nan")
-        else:
-            etas = negative_radius_estimates(result.emb, ds_p, cell_cfg,
-                                             getattr(result.best_spec, eta_param))
-            eta_mean = float(np.mean(etas))
-            eta_median = float(np.median(etas))
+        etas = [] if eta_param is None else negative_radius_estimates(
+            result.emb, ds_p, cell_cfg, getattr(result.best_spec, eta_param))
+        eta_mean, eta_median = ((float(np.mean(etas)), float(np.median(etas)))
+                                if len(etas) else (math.nan, math.nan))
         rows.append(NoiseSweepRow(
             r_noise=r, pos_noise_ratio=p, n_negatives=n_neg,
             best_tau=result.best_tau,

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from recdro.cli import build_parser, main
-from recdro.data import load_dataset, save_dataset
+from recdro.data import Dataset, load_dataset, save_dataset
 from recdro.dro import worst_case_weights
 from recdro.evaluate import evaluate, report_as_dict
-from recdro.model import load_checkpoint
+from recdro.model import init_embeddings, load_checkpoint, save_checkpoint
 from recdro.synthetic import planted_clusters
 
 
@@ -554,6 +554,29 @@ def test_noise_sweep_usage_error_creates_no_directory(tmp_path):
     assert not out.exists()
 
 
+def test_train_config_without_split_files_exits_2_with_no_output(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("loss = sl\nepochs = 1\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "train_file and test_file must be set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_noise_sweep_leaves_a_radius_with_no_probe_user_blank(tmp_path):
+    ds = Dataset.from_positive_lists([[0, 1, 2, 3], [0, 1, 2, 3], [], [0, 1, 2, 3]],
+                                     [[], [], [1], []], n_items=4)
+    save_dataset(ds, tmp_path / "train.txt", tmp_path / "test.txt")
+    cfg = write_config(tmp_path, sampling_mode="in_batch", batch_size=4, epochs=2,
+                       tau_grid="0.2")
+    out = tmp_path / "sweep"
+    assert main(["noise-sweep", "--config", str(cfg), "--out", str(out),
+                 "--r-noise-values", "0"]) == 0
+    header, row = read_rows(out / "sweep.csv")
+    assert header[-2:] == ["eta_mean", "eta_median"] and row[-2:] == ["", ""]
+    assert row[4] == "0.2"
+
+
 def test_ingest_write_failing_midway_leaves_previous_outputs(tmp_path, monkeypatch):
     write_fixture(tmp_path)
     out = tmp_path / "ingested"
@@ -601,6 +624,21 @@ def test_dro_diagnose_taus_outside_the_loss_range_exits_2_with_no_files(
                  "--test", str(tmp_path / "test.txt"),
                  "--taus", f"0.1,{value}", "--out", str(diag)]) == 2
     assert "--taus" in capsys.readouterr().err
+    assert not diag.exists()
+
+
+def test_dro_diagnose_with_no_probe_user_exits_1_with_no_output(tmp_path, capsys):
+    """Every user with training items holds the whole catalog, so no user has
+    negatives to probe."""
+    ds = Dataset.from_positive_lists([[0, 1, 2, 3], [], [0, 1, 2, 3]], [[], [2], []],
+                                     n_items=4)
+    save_dataset(ds, tmp_path / "train.txt", tmp_path / "test.txt")
+    save_checkpoint(tmp_path / "m.npz", init_embeddings(3, 4, 2, seed=0), epoch=0, seed=0)
+    diag = tmp_path / "diag"
+    assert main(["dro-diagnose", "--checkpoint", str(tmp_path / "m.npz"),
+                 "--train", str(tmp_path / "train.txt"),
+                 "--test", str(tmp_path / "test.txt"), "--out", str(diag)]) == 1
+    assert "no user has both positives and negatives" in capsys.readouterr().err
     assert not diag.exists()
 
 

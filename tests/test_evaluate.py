@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -720,6 +721,21 @@ def test_sweep_radius_skips_a_user_who_holds_every_item():
     emb = grid_search_train(ds, cfg, spec, tau_grid=(0.2,)).emb
     etas = evaluate_module.negative_radius_estimates(emb, ds, cfg, 0.2)
     assert etas.size == 4 and (row.eta_mean, row.eta_median) == (etas.mean(), np.median(etas))
+
+
+def test_sweep_with_no_probe_user_reports_nan_radii_without_a_warning():
+    """Every user with training items holds the whole catalog: in-batch mode
+    trains, but no user has negatives to probe."""
+    ds = Dataset.from_positive_lists([[0, 1, 2, 3], [0, 1, 2, 3], [], [0, 1, 2, 3]],
+                                     [[], [], [1], []], n_items=4)
+    cfg = TrainConfig(embedding_dim=4, learning_rate=1e-2, epochs=2, batch_size=4,
+                      n_negatives=2, sampling_mode=SamplingMode.IN_BATCH, rng_seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = noise_sweep(ds, cfg, LossSpec(kind=LossKind.SL, tau=0.2), r_values=[0.0],
+                             tau_grid=(0.2,))
+    assert evaluate_module.probe_users(ds).size == 0
+    assert math.isnan(row.eta_mean) and math.isnan(row.eta_median)
 
 
 def test_sl_novar_grid_is_one_temperature_free_run(monkeypatch):
