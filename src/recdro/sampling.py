@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, NegSampler, TrainConfig, check_range
+from .config import ConfigError, NegSampler, SamplingMode, TrainConfig, check_range
 from .data import Dataset
 
 logger = logging.getLogger(__name__)
@@ -136,11 +136,14 @@ def sample_negatives_batch(st: SamplerState, ds: Dataset, users, m: int) -> np.n
     its user's positives ∝ weight, through one cumulative sum over the
     batch's flat positive lists. Every other slot proposes an item from the
     catalog's popularity CDF and is redrawn while the item is one of its
-    user's positives. A user whose positives hold at least half of the
-    catalog weight, where a proposal would be rejected at least half the
-    time, takes the exact per-user :func:`sample_negatives` draw instead;
-    so does a user with no negative weight, which keeps its ``ValueError``.
-    Nothing of size users × items is built.
+    user's positives: the CDF is inverted through a guide table
+    (:class:`_CdfGuide`), and the test reads a bit table over the batch's
+    users and their distinct positives (:class:`_PositiveBits`), each
+    exactly as a binary search would answer. A user whose positives hold
+    at least half of the catalog weight, where a proposal would be rejected
+    at least half the time, takes the exact per-user :func:`sample_negatives`
+    draw instead; so does a user with no negative weight, which keeps its
+    ``ValueError``. Nothing of size users × items is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -158,11 +161,8 @@ def sample_negatives_batch(st: SamplerState, ds: Dataset, users, m: int) -> np.n
     pos_cum = np.zeros(indices.size + 1)
     np.cumsum(weights[indices], out=pos_cum[1:])
     w_pos = pos_cum[indptr[1:]] - pos_cum[indptr[:-1]]
-    cdf = np.cumsum(weights)
-    total = cdf[-1]
-    if not np.isfinite(total):
-        raise ValueError("popularity weights have a non-finite total")
-    cdf /= total
+    proposals = _CdfGuide.build(weights)
+    total = proposals.total
     w_neg = total - w_pos
 
     exact = 2 * w_pos >= total
@@ -187,20 +187,100 @@ def sample_negatives_batch(st: SamplerState, ds: Dataset, users, m: int) -> np.n
                        pos_cum.searchsorted(end, side="left"))
         items[leak] = indices[t - 1]
 
-    # sorted (user slot, item) keys of the positives, with a sentinel above
-    # every key so a search never runs off the end
-    n_items = ds.n_items
-    pos_keys = np.append(np.repeat(np.arange(uniq.size), np.diff(indptr)) * n_items
-                         + indices, uniq.size * n_items)
+    held = _PositiveBits.build(indptr, indices, ds.n_items)
     need = np.flatnonzero(~leak)
     while need.size:
-        cand = cdf.searchsorted(st.rng.random(need.size), side="right")
-        keys = slot_user[need] * n_items + cand
-        hit = pos_keys[pos_keys.searchsorted(keys)] == keys
+        cand = proposals.invert(st.rng.random(need.size))
+        hit = held.contains(slot_user[need], cand)
         items[need[~hit]] = cand[~hit]
         need = need[hit]
     out[rows] = items.reshape(-1, m)
     return out
+
+
+@dataclass(frozen=True)
+class _CdfGuide:
+    """Chen & Asau's guide table for the popularity CDF ``cdf = cum / total``
+    (``cum`` the running sum of the weights, ``total`` its last entry):
+    :meth:`invert` returns ``cdf.searchsorted(u, side="right")`` exactly.
+
+    Only an item of positive weight raises the CDF, so only those
+    (``items``, at CDF values ``vals``) can be returned. With ``K`` the
+    smallest power of two of at least ``2 * items.size``, ``guide[b]`` counts
+    the ``vals`` at or below ``b / K``. ``u * K`` and ``vals * K`` are exact,
+    so the count for ``u`` in bucket ``b = floor(u * K)`` is at least
+    ``guide[b]`` and at most ``guide[b + 1]``, and ``steps`` binary digits
+    cover the widest bucket's surplus.
+    """
+
+    items: np.ndarray
+    vals: np.ndarray
+    guide: np.ndarray
+    steps: int
+    total: float
+
+    @classmethod
+    def build(cls, weights: np.ndarray) -> "_CdfGuide":
+        cum = np.cumsum(weights)
+        total = cum[-1]
+        if not np.isfinite(total):
+            raise ValueError("popularity weights have a non-finite total")
+        items = np.flatnonzero(weights > 0)
+        vals = cum[items] / total
+        k = 1 << (2 * items.size - 1).bit_length()
+        # a value v is at or below b / K exactly when ceil(v * K) <= b, so
+        # bucket b holds the count[b + 1] values of ceil(v * K) = b + 1
+        count = np.bincount(np.ceil(vals * k).astype(np.intp), minlength=k + 1)
+        steps = int(count.max()).bit_length()
+        guide = np.cumsum(count, out=count)
+        # digit d probes at most 2**d - 1 past the answer, itself below
+        # items.size: pad with copies of the last value, 1.0, which no u reaches
+        vals = np.pad(vals, (0, max(0, (1 << steps >> 1) - 1)), mode="edge")
+        return cls(items, vals, guide, steps, total)
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The item ids at CDF quantiles ``u`` in ``[0, 1)``."""
+        j = self.guide[(u * (self.guide.size - 1)).astype(np.intp)]
+        # the surplus over guide[b], binary digit by digit from the top
+        for digit in reversed(range(self.steps)):
+            step = 1 << digit
+            j += step * (self.vals[j + (step - 1)] <= u)
+        return self.items[j]
+
+
+@dataclass(frozen=True)
+class _PositiveBits:
+    """Membership of (row, item) in a flat CSR ``(indptr, indices)``, one bit
+    per pair of a row and a distinct item of ``indices``.
+
+    ``col`` maps every catalog item to its column, or to column
+    ``indices``' distinct count, which no row holds; a row's bits fill
+    ``row_bytes`` bytes of ``bits``, column ``c`` at bit ``c % 8`` of byte
+    ``c // 8``. So the table grows with the rows times their distinct items,
+    never with the rows times the catalog.
+    """
+
+    col: np.ndarray
+    bits: np.ndarray
+    row_bytes: int
+
+    @classmethod
+    def build(cls, indptr: np.ndarray, indices: np.ndarray, n_items: int) -> "_PositiveBits":
+        distinct, col_of_entry = np.unique(indices, return_inverse=True)
+        col = np.full(n_items, distinct.size, dtype=np.int32)
+        col[distinct] = np.arange(distinct.size)
+        row_bytes = distinct.size // 8 + 1
+        bits = np.zeros((indptr.size - 1) * row_bytes, dtype=np.uint8)
+        owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        np.bitwise_or.at(bits, owner * row_bytes + (col_of_entry >> 3),
+                         (1 << (col_of_entry & 7)).astype(np.uint8))
+        return cls(col, bits, row_bytes)
+
+    def contains(self, rows: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Whether each ``items[s]`` is in the list of row ``rows[s]``."""
+        c = self.col[items]
+        byte = self.bits[rows * self.row_bytes + (c >> 3)]
+        return ((byte >> (c & 7)) & 1).astype(bool)
 
 
 def sample_uniform_batch(st: SamplerState, ds: Dataset, users,
@@ -398,11 +478,14 @@ def prepare_dataset(ds: Dataset, cfg: TrainConfig) -> tuple[Dataset, TrainConfig
     :func:`~recdro.model.train` rejects a config that still carries one.
 
     A popularity sampler's weights on the returned split are checked here, so
-    an exponent this data cannot take fails before anything trains.
+    an exponent this data cannot take fails before anything trains. So is,
+    in negative-sampling mode at ``r_noise = 0``, a user the sampler has
+    nothing to draw for: the sampler's own ``ValueError`` names the first.
     """
     if cfg.pos_noise_ratio > 0:
         ds, cfg = (contaminate_positives(ds, cfg.pos_noise_ratio, cfg.rng_seed),
                    replace(cfg, pos_noise_ratio=0.0))
+    weights = None
     if cfg.neg_sampler is NegSampler.POPULARITY:
         unseen = np.flatnonzero(ds.item_popularity == 0)
         if cfg.popularity_exponent < 0 and unseen.size:
@@ -410,9 +493,29 @@ def prepare_dataset(ds: Dataset, cfg: TrainConfig) -> tuple[Dataset, TrainConfig
                 f"popularity_exponent {cfg.popularity_exponent:g} gives item {unseen[0]}, "
                 "which has no training interactions, an infinite weight: "
                 "popularity weights must be finite")
-        check_popularity_weights(popularity_weights_from_counts(
+        weights = check_popularity_weights(popularity_weights_from_counts(
             ds.item_popularity, cfg.popularity_exponent))
+    if cfg.sampling_mode is SamplingMode.NEGATIVE_SAMPLING and cfg.r_noise == 0:
+        _check_every_user_has_negatives(ds, weights)
     return ds, cfg
+
+
+def _check_every_user_has_negatives(ds: Dataset, weights: np.ndarray | None) -> None:
+    """Raise :func:`sample_negatives`' ``ValueError`` at ``r_noise = 0`` for
+    the first user who holds every item or, under popularity ``weights``,
+    every item of positive weight."""
+    full = np.diff(ds.indptr) == ds.n_items
+    stuck = full
+    if weights is not None:
+        drawable = weights > 0
+        held = np.concatenate([[0], np.cumsum(drawable[ds.indices])])
+        stuck = full | (held[ds.indptr[1:]] - held[ds.indptr[:-1]] == drawable.sum())
+    bad = np.flatnonzero(stuck)
+    if bad.size:
+        user = int(bad[0])
+        if full[user]:
+            raise ValueError(f"user {user} has no negatives and r_noise is 0")
+        raise ValueError(f"user {user} has zero total sampling weight")
 
 
 def in_batch_negatives(batch_users, batch_items) -> np.ndarray:

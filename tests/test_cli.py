@@ -741,6 +741,35 @@ def test_negative_popularity_exponent_names_the_setting_and_the_unseen_item(tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("train, settings, message", [
+    # user 0 holds all four items
+    ("0 0 1 2 3\n1 0 1\n2 2\n", {}, "user 0 has no negatives and r_noise is 0"),
+    ("0 0 1 2 3\n1 0 1\n2 2\n", {"neg_sampler": "popularity"},
+     "user 0 has no negatives and r_noise is 0"),
+    # item 3 occurs only in the test file, so it has no popularity weight
+    ("0 0 1 2\n1 0 1\n2 2\n", {"neg_sampler": "popularity"},
+     "user 0 has zero total sampling weight"),
+])
+def test_split_the_sampler_cannot_draw_from_exits_1_with_no_output(tmp_path, capsys, train,
+                                                                   settings, message):
+    (tmp_path / "train.txt").write_text(train)
+    (tmp_path / "test.txt").write_text("1 3\n")
+    cfg = write_config(tmp_path, n_negatives="2", **settings)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [{"sampling_mode": "in_batch"}, {"r_noise": "0.5"},
+                                      {"neg_sampler": "popularity", "r_noise": "0.5"}])
+def test_user_holding_every_item_trains_in_batch_or_with_leaked_negatives(tmp_path, settings):
+    (tmp_path / "train.txt").write_text("0 0 1 2 3\n1 0 1\n2 2\n")
+    (tmp_path / "test.txt").write_text("1 3\n")
+    cfg = write_config(tmp_path, n_negatives="2", **settings)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_train_without_evaluation_replaces_a_previous_runs_best(tmp_path):
     write_fixture(tmp_path)
     out = tmp_path / "out"

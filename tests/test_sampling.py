@@ -1,11 +1,12 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from recdro.config import ConfigError, NegSampler, TrainConfig
+from recdro.config import ConfigError, NegSampler, SamplingMode, TrainConfig
 from recdro.data import Dataset
 import recdro.model as model_mod
 import recdro.sampling as sampling_mod
@@ -457,6 +458,155 @@ class TestSampleNegativesBatch:
             sample_negatives_batch(st, ds, np.array([0, 1]), 2)
 
 
+def searchsorted_popularity_batch(st, ds, users, m):
+    """The popularity batch draw as a binary search over the whole CDF and a
+    binary search over sorted (user slot, item) keys of the positives: the
+    reference :func:`sample_negatives_batch` must match bit for bit."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    weights = st.popularity_weights
+    users = np.asarray(users, dtype=np.int64)
+    out = np.empty((users.size, m), dtype=np.int64)
+
+    uniq, inv = np.unique(users, return_inverse=True)
+    indptr, indices = sampling_mod._batch_csr(ds, uniq)
+    pos_cum = np.zeros(indices.size + 1)
+    np.cumsum(weights[indices], out=pos_cum[1:])
+    w_pos = pos_cum[indptr[1:]] - pos_cum[indptr[:-1]]
+    cdf = np.cumsum(weights)
+    total = cdf[-1]
+    if not np.isfinite(total):
+        raise ValueError("popularity weights have a non-finite total")
+    cdf /= total
+    w_neg = total - w_pos
+
+    exact = 2 * w_pos >= total
+    for j in np.flatnonzero(exact):
+        rows = np.flatnonzero(inv == j)
+        out[rows] = sample_negatives(st, ds, int(uniq[j]), rows.size * m).reshape(-1, m)
+
+    rows = np.flatnonzero(~exact[inv])
+    slot_user = np.repeat(inv[rows], m)
+    items = np.empty(slot_user.size, dtype=np.int64)
+    leak = np.zeros(slot_user.size, dtype=bool)
+    r = st.r_noise
+    if r > 0:
+        p_leak = r * w_pos / (r * w_pos + w_neg)
+        leak = st.rng.random(slot_user.size) < p_leak[slot_user]
+        lu = slot_user[leak]
+        start, end = pos_cum[indptr[lu]], pos_cum[indptr[lu + 1]]
+        target = start + st.rng.random(lu.size) * (end - start)
+        t = np.minimum(pos_cum.searchsorted(target, side="right"),
+                       pos_cum.searchsorted(end, side="left"))
+        items[leak] = indices[t - 1]
+
+    n_items = ds.n_items
+    pos_keys = np.append(np.repeat(np.arange(uniq.size), np.diff(indptr)) * n_items
+                         + indices, uniq.size * n_items)
+    need = np.flatnonzero(~leak)
+    while need.size:
+        cand = cdf.searchsorted(st.rng.random(need.size), side="right")
+        keys = slot_user[need] * n_items + cand
+        hit = pos_keys[pos_keys.searchsorted(keys)] == keys
+        items[need[~hit]] = cand[~hit]
+        need = need[hit]
+    out[rows] = items.reshape(-1, m)
+    return out
+
+
+def zero_weight_catalog():
+    """400 items, a third of them (in runs) at weight zero, held by some users."""
+    rng = np.random.default_rng(5)
+    weights = rng.pareto(1.5, size=400) + 0.01
+    weights[rng.random(400) < 1 / 3] = 0.0
+    weights[100:160] = 0.0
+    lists = [np.sort(rng.choice(400, size=size, replace=False)) for size in (0, 3, 40, 150)]
+    lists.append(np.arange(100, 170))
+    return Dataset.from_positive_lists(lists, [[]] * len(lists), n_items=400), weights
+
+
+def tiny_weight_catalog():
+    """Unit weights, but item 7's weight is too small to move its CDF step."""
+    weights = np.ones(60)
+    weights[7] = 1e-30
+    cum = np.cumsum(weights)
+    assert cum[7] == cum[6]
+    lists = [[0, 7], [7, 8, 9], list(range(20, 50)), []]
+    return Dataset.from_positive_lists(lists, [[]] * len(lists), n_items=60), weights
+
+
+class TestPopularityBatchBits:
+    """The guide-table CDF inversion and the bit-table rejection test draw
+    exactly what binary searches draw: the same ids, the same final state."""
+
+    @pytest.mark.parametrize("catalog, r_noise", [
+        *[(n_items, r_noise) for n_items in (40, 3000) for r_noise in (0.0, 0.1, 3.0)],
+        ("zero weights", 0.1), ("tiny weight", 0.1)])
+    def test_matches_the_searchsorted_draw(self, catalog, r_noise):
+        if catalog == "zero weights":
+            ds, weights = zero_weight_catalog()
+        elif catalog == "tiny weight":
+            ds, weights = tiny_weight_catalog()
+        else:
+            ds, weights = TestSampleNegativesBatch.catalog(catalog, r_noise)
+        rng = np.random.default_rng(ds.n_items)
+        for m in (1, 16):
+            users = rng.integers(0, ds.n_users, size=300)
+            got, want = (SamplerState.create(seed=m, mode=NegSampler.POPULARITY,
+                                             r_noise=r_noise, popularity_weights=weights)
+                         for _ in range(2))
+            block = sample_negatives_batch(got, ds, users, m)
+            assert np.array_equal(block, searchsorted_popularity_batch(want, ds, users, m))
+            assert same_state(got.rng.bit_generator.state, want.rng.bit_generator.state)
+
+    @pytest.mark.parametrize("weights", [
+        np.ones(1), np.ones(1000), np.array([0.0, 0.0, 2.0, 0.0]),
+        zero_weight_catalog()[1], tiny_weight_catalog()[1],
+        # one heavy head item leaves the rest to share the top bucket
+        np.concatenate([[1e6], np.ones(50)]),
+        np.random.default_rng(0).pareto(0.5, size=5000),
+    ], ids=["one item", "uniform", "one drawable", "zero weights", "tiny weight",
+            "heavy head", "heavy tail"])
+    def test_guided_search_is_searchsorted(self, weights):
+        cum = np.cumsum(weights)
+        cdf = cum / cum[-1]
+        guide = sampling_mod._CdfGuide.build(weights)
+        k = guide.guide.size - 1
+        assert k >= 2 * np.count_nonzero(weights) and k & (k - 1) == 0
+        edges = np.concatenate([np.arange(k) / k, cdf])
+        u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
+        u = u[(u >= 0) & (u < 1)]
+        assert np.array_equal(guide.invert(u), cdf.searchsorted(u, side="right"))
+
+    def test_heavy_head_takes_several_digits(self):
+        # so the search above runs more than one digit and pads its values
+        guide = sampling_mod._CdfGuide.build(np.concatenate([[1e6], np.ones(50)]))
+        assert guide.steps >= 3 and guide.vals.size > 51
+
+    def test_working_memory_is_bounded_by_the_batch(self):
+        """One call's peak allocation stays below four 8-byte arrays per
+        catalog item plus 64 bytes per drawn slot; a users × items bitmap
+        would take 10 MB here, past the bound.
+
+        The weights are the library's, item counts: the 13,501 items with a
+        training interaction are the drawable ones. The guide table holds 16
+        to 32 bytes per drawable item, so a catalog whose every item is
+        drawable would exceed the bound's catalog term through it alone."""
+        n_items, batch, m = 200_000, 512, 16
+        ds = random_interactions(400, n_items, 50, seed=0)
+        st = SamplerState.create(seed=0, mode=NegSampler.POPULARITY, r_noise=0.1,
+                                 popularity_weights=popularity_weights_from_counts(
+                                     ds.item_popularity))
+        users = np.random.default_rng(1).integers(0, ds.n_users, size=batch)
+        tracemalloc.start()
+        try:
+            sample_negatives_batch(st, ds, users, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n_items + 64 * batch * m
+
+
 @pytest.mark.parametrize("r_noise", [math.nan, math.inf])
 def test_positive_fraction_rejects_non_finite_r_noise(r_noise):
     with pytest.raises(ConfigError, match="^r_noise must"):
@@ -474,7 +624,9 @@ class TestPrepareDatasetChecksPopularityWeights:
     DS = Dataset.from_positive_lists([[0]], [[]], n_items=2)
 
     def cfg(self, **kwargs):
-        return TrainConfig(neg_sampler=NegSampler.POPULARITY, **kwargs)
+        # user 0 holds every item of positive weight (both items once one is
+        # injected), which a sampler can draw negatives for only at r_noise > 0
+        return TrainConfig(neg_sampler=NegSampler.POPULARITY, r_noise=0.5, **kwargs)
 
     def test_weight_the_split_cannot_take_is_a_config_error(self):
         with np.errstate(divide="ignore"):
@@ -492,6 +644,40 @@ class TestPrepareDatasetChecksPopularityWeights:
         with pytest.raises(ConfigError, match="finite"):
             SamplerState.create(seed=0, mode=NegSampler.POPULARITY,
                                 popularity_weights=[1.0, np.inf])
+
+
+class TestPrepareDatasetChecksNegatives:
+    """At r_noise 0 a negative-sampling split is one every user can draw
+    negatives from, or the sampler's own error is raised before training."""
+
+    # user 1 holds every item
+    FULL = Dataset.from_positive_lists([[0], [0, 1, 2, 3], [2]], [[]] * 3, n_items=4)
+    # item 2 has no training interactions, so user 1 holds every item of
+    # positive popularity weight
+    NO_WEIGHT = Dataset.from_positive_lists([[0], [0, 1, 3], [1]], [[]] * 3, n_items=4)
+
+    @pytest.mark.parametrize("ds, sampler", [
+        (FULL, NegSampler.UNIFORM), (FULL, NegSampler.POPULARITY),
+        (NO_WEIGHT, NegSampler.POPULARITY)])
+    def test_raises_the_samplers_error(self, ds, sampler):
+        cfg = TrainConfig(neg_sampler=sampler)
+        with pytest.raises(ValueError) as per_user:
+            sample_negatives(SamplerState.for_config(ds, cfg, seed=0), ds, 1, 1)
+        assert str(per_user.value).startswith("user 1 ")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(per_user.value))}$"):
+            prepare_dataset(ds, cfg)
+
+    @pytest.mark.parametrize("ds, sampler", [
+        (FULL, NegSampler.UNIFORM), (FULL, NegSampler.POPULARITY),
+        (NO_WEIGHT, NegSampler.POPULARITY)])
+    @pytest.mark.parametrize("settings", [
+        {"sampling_mode": SamplingMode.IN_BATCH}, {"r_noise": 0.5}])
+    def test_in_batch_or_leaking_samplers_take_the_split(self, ds, sampler, settings):
+        assert prepare_dataset(ds, TrainConfig(neg_sampler=sampler, **settings))[0] is ds
+
+    def test_uniform_sampler_ignores_zero_popularity(self):
+        cfg = TrainConfig(neg_sampler=NegSampler.UNIFORM)
+        assert prepare_dataset(self.NO_WEIGHT, cfg)[0] is self.NO_WEIGHT
 
 
 def per_user_loop(st, ds, users, m):
